@@ -20,7 +20,6 @@
 
 #include "common/config.h"
 #include "common/stopwatch.h"
-#include "engine/pipeline_builder.h"
 #include "server/server.h"
 #include "sql/explain.h"
 #include "sql/parser.h"
@@ -330,31 +329,27 @@ int main(int argc, char** argv) {
       std::printf("error: %s\n", plan.status().ToString().c_str());
       continue;
     }
-    // Mirror the executor's fusion decision so EXPLAIN (and the stats the
-    // ANALYZE path registers) describe the plan that actually runs.
-    PlanNodePtr final_plan = plan.value();
-    size_t fused_nodes = 0;
-    if (GlobalKernelConfig().fusion) {
-      final_plan = FusePipelines(final_plan);
-      VisitPlanPostOrder(final_plan, [&fused_nodes](const PlanNodePtr& node) {
-        if (node->op() == PlanOp::kFusedPipeline) ++fused_nodes;
-      });
-    }
     if (parsed.value().explain == ExplainMode::kPlan) {
-      std::printf("%s", RenderPlanTree(final_plan).c_str());
+      // The runner's own preparation, so EXPLAIN shows the plan that runs.
+      const PlanNodePtr prepared = server.runner().PreparePlan(plan.value());
+      std::printf("%s", RenderPlanTree(prepared).c_str());
       if (!GlobalKernelConfig().fusion) {
         std::printf("-- fusion: off\n");
       } else {
+        size_t fused_nodes = 0;
+        VisitPlanPostOrder(prepared, [&fused_nodes](const PlanNodePtr& node) {
+          if (node->op() == PlanOp::kFusedPipeline) ++fused_nodes;
+        });
         std::printf("-- fusion: %zu pipeline(s) fused\n", fused_nodes);
       }
       continue;
     }
     if (parsed.value().explain == ExplainMode::kAnalyze) {
-      QueryStatsPtr stats = MakeQueryStats(final_plan);
+      auto stats = std::make_shared<QueryStats>();
       stats->set_name(line);
       SubmitOptions options = submit_options();
       options.stats = stats;
-      Result<TablePtr> result = session->Execute(final_plan, options);
+      Result<TablePtr> result = session->Execute(plan.value(), options);
       if (!result.ok()) {
         std::printf("error: %s\n", result.status().ToString().c_str());
         continue;

@@ -96,13 +96,9 @@ std::future<Result<TablePtr>> ChoppingExecutor::Submit(PlanNodePtr root,
   query->root = std::move(root);
   query->placer = std::move(placer);
   query->controls = std::move(controls);
-  query->query_id = Telemetry::NextQueryId();
   query->stats = query->controls.stats != nullptr ? query->controls.stats
                                                   : std::make_shared<QueryStats>();
-  if (query->stats->nodes().empty()) {
-    RegisterPlanNodes(query->stats.get(), query->root);
-  }
-  query->stats->set_query_id(query->query_id);
+  RegisterPlanNodes(query->stats.get(), query->root);
   query->stats->MarkSubmitted();
   query->home_device = ctx_->sharding().QueryHomeDevice(*query->root);
   // Brownout hot-template bookkeeping: every submission votes for its
@@ -115,7 +111,7 @@ std::future<Result<TablePtr>> ChoppingExecutor::Submit(PlanNodePtr root,
   // Stuck-query backstop: progress fingerprint scans + deadline-multiple
   // kill fire through the query's own cancel token, so the normal cancel
   // path does the cleanup.
-  ctx_->watchdog().Register(query->query_id, query->stats,
+  ctx_->watchdog().Register(query->stats->query_id(), query->stats,
                             query->controls.cancel, query->controls.deadline,
                             query->controls.has_deadline());
   std::future<Result<TablePtr>> future = query->promise.get_future();
@@ -275,7 +271,7 @@ void ChoppingExecutor::ScheduleTask(const QueryExecPtr& query, OpTask* task) {
 
   if (TraceRecorder::enabled()) {
     RecordInstantEvent(
-        "place " + task->node->label(), "placement", query->query_id,
+        "place " + task->node->label(), "placement", query->stats->query_id(),
         {{"processor", ProcessorKindToString(kind)},
          {"device", std::to_string(device)},
          {"load_estimate_us",
@@ -361,7 +357,7 @@ void ChoppingExecutor::RunTask(const QueryExecPtr& query, OpTask* task,
   TraceSpan span;
   if (TraceRecorder::enabled()) {
     span.Begin(task->node->label(), "operator");
-    span.SetQuery(query->query_id);
+    span.SetQuery(query->stats->query_id());
     span.SetNode(reinterpret_cast<uint64_t>(task->node),
                  task->parent != nullptr
                      ? reinterpret_cast<uint64_t>(task->parent->node)
@@ -417,10 +413,10 @@ void ChoppingExecutor::RunTask(const QueryExecPtr& query, OpTask* task,
       task->result = OperatorResult();
       return;
     }
-    ctx_->watchdog().Deregister(query->query_id);
+    ctx_->watchdog().Deregister(query->stats->query_id());
     ctx_->metrics().RecordQueryDone();
     query->stats->MarkFinished(/*ok=*/true);
-    ctx_->flight_recorder().RecordQuerySummary(query->query_id,
+    ctx_->flight_recorder().RecordQuerySummary(query->stats->query_id(),
                                                query->stats->name(),
                                                query->stats->SummaryFields());
     ctx_->NoteQueryFinished();
@@ -440,14 +436,12 @@ void ChoppingExecutor::FailQuery(const QueryExecPtr& query,
                                  const Status& status) {
   query->failed.store(true, std::memory_order_release);
   if (!query->done.exchange(true, std::memory_order_acq_rel)) {
-    ctx_->watchdog().Deregister(query->query_id);
-    if (query->stats != nullptr) {
-      query->stats->MarkFinished(/*ok=*/false, status.ToString());
-      ctx_->flight_recorder().RecordQuerySummary(
-          query->query_id, query->stats->name(),
-          query->stats->SummaryFields());
-      ctx_->NoteQueryFinished();
-    }
+    ctx_->watchdog().Deregister(query->stats->query_id());
+    query->stats->MarkFinished(/*ok=*/false, status.ToString());
+    ctx_->flight_recorder().RecordQuerySummary(query->stats->query_id(),
+                                               query->stats->name(),
+                                               query->stats->SummaryFields());
+    ctx_->NoteQueryFinished();
     query->promise.set_value(status);
   }
 }

@@ -37,7 +37,8 @@ struct QueryControls {
       std::chrono::steady_clock::time_point::max();
   /// Per-query resource attribution (EXPLAIN ANALYZE, workload breakdowns).
   /// Optional: when null the executor creates its own, so flight-recorder
-  /// summaries stay complete; pass one to read the stats back afterwards.
+  /// summaries stay complete; pass a fresh one to read the stats back
+  /// afterwards (the executor registers the plan's nodes in it).
   QueryStatsPtr stats;
 
   bool has_deadline() const {
@@ -125,7 +126,6 @@ class ChoppingExecutor {
     std::atomic<bool> failed{false};
     /// Guards the promise: exactly one of {root success, FailQuery} wins.
     std::atomic<bool> done{false};
-    uint64_t query_id = 0;  ///< stamps this query's trace spans
     /// Sharding home (largest scan's affinity device); biases every device
     /// pick so the query's tasks stay on one device.
     int home_device = -1;

@@ -8,7 +8,6 @@
 #include "common/config.h"
 #include "common/logging.h"
 #include "operators/fused_pipeline.h"
-#include "telemetry/query_stats.h"
 
 namespace hetdb {
 
@@ -265,13 +264,9 @@ PlanNodePtr FusePipelines(const PlanNodePtr& node, int max_fused_joins) {
   return CloneWithChildren(node, std::move(children));
 }
 
-PlanNodePtr OptimizePlan(const PlanNodePtr& root, const QueryStats* stats,
-                         int max_fused_joins) {
+PlanNodePtr OptimizePlan(const PlanNodePtr& root, int max_fused_joins) {
   if (!GlobalKernelConfig().fusion) return root;
-  PlanNodePtr fused = FusePipelines(root, max_fused_joins);
-  const bool stats_compatible = stats == nullptr || stats->nodes().empty() ||
-                                stats->Find(fused.get()) != nullptr;
-  return stats_compatible ? fused : root;
+  return FusePipelines(root, max_fused_joins);
 }
 
 }  // namespace hetdb

@@ -30,17 +30,11 @@ namespace hetdb {
 /// under heap pressure.
 PlanNodePtr FusePipelines(const PlanNodePtr& root, int max_fused_joins = -1);
 
-class QueryStats;
-
-/// Applies FusePipelines under the `KernelConfig::fusion` knob. Call this
-/// before MakeQueryStats so per-node attribution follows the plan that will
-/// actually execute. When `stats` was already registered against a
-/// *different* plan, the rewrite is declined and `root` is returned
-/// unchanged — adopting it would orphan the caller's per-node attribution.
-/// `max_fused_joins` passes through to FusePipelines (brownout L1 sets 1).
-PlanNodePtr OptimizePlan(const PlanNodePtr& root,
-                         const QueryStats* stats = nullptr,
-                         int max_fused_joins = -1);
+/// Applies FusePipelines under the `KernelConfig::fusion` knob (identity when
+/// fusion is off). Queries are prepared through StrategyRunner::PreparePlan,
+/// which passes the brownout cap as `max_fused_joins`; the executor then
+/// registers per-node stats against the returned plan.
+PlanNodePtr OptimizePlan(const PlanNodePtr& root, int max_fused_joins = -1);
 
 }  // namespace hetdb
 

@@ -12,10 +12,8 @@ namespace hetdb {
 Result<TablePtr> QueryExecutor::Execute(const PlanNodePtr& root,
                                         const PlacementMap& placement,
                                         QueryStatsPtr stats) {
-  query_id_ = Telemetry::NextQueryId();
   stats_ = stats != nullptr ? std::move(stats) : std::make_shared<QueryStats>();
-  if (stats_->nodes().empty()) RegisterPlanNodes(stats_.get(), root);
-  stats_->set_query_id(query_id_);
+  RegisterPlanNodes(stats_.get(), root);
   stats_->MarkSubmitted();
   home_device_ = ctx_->sharding().QueryHomeDevice(*root);
 
@@ -40,7 +38,7 @@ Result<TablePtr> QueryExecutor::Execute(const PlanNodePtr& root,
   } else {
     stats_->MarkFinished(/*ok=*/false, outcome.status().ToString());
   }
-  ctx_->flight_recorder().RecordQuerySummary(query_id_, stats_->name(),
+  ctx_->flight_recorder().RecordQuerySummary(stats_->query_id(), stats_->name(),
                                              stats_->SummaryFields());
   ctx_->NoteQueryFinished();
   stats_ = nullptr;
@@ -132,7 +130,7 @@ Result<OperatorResult> QueryExecutor::ExecuteNode(
   TraceSpan span;
   if (TraceRecorder::enabled()) {
     span.Begin(node->label(), "operator");
-    span.SetQuery(query_id_);
+    span.SetQuery(stats_->query_id());
     span.SetNode(reinterpret_cast<uint64_t>(node.get()),
                  reinterpret_cast<uint64_t>(parent));
     span.AddArg("requested", ProcessorKindToString(processor));

@@ -29,9 +29,9 @@ class QueryExecutor {
   QueryExecutor& operator=(const QueryExecutor&) = delete;
 
   /// Executes the plan; nodes missing from `placement` run on the CPU.
-  /// `stats` (optional) receives per-query/per-node resource attribution;
-  /// when null the executor creates its own so flight-recorder summaries
-  /// stay complete.
+  /// `stats` (optional, fresh) receives per-query/per-node resource
+  /// attribution against `root`'s nodes; when null the executor creates its
+  /// own so flight-recorder summaries stay complete.
   Result<TablePtr> Execute(const PlanNodePtr& root,
                            const PlacementMap& placement,
                            QueryStatsPtr stats = nullptr);
@@ -42,7 +42,6 @@ class QueryExecutor {
                                      const PlanNode* parent);
 
   EngineContext* ctx_;
-  uint64_t query_id_ = 0;   ///< stamps this query's trace spans
   QueryStatsPtr stats_;     ///< attribution target of the running query
   /// Sharding home of the running query (largest scan's affinity device);
   /// biases every device pick so the query stays on one device.

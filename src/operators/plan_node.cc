@@ -279,13 +279,8 @@ void RegisterPlanNodesImpl(QueryStats* stats, const PlanNodePtr& node,
 
 void RegisterPlanNodes(QueryStats* stats, const PlanNodePtr& root) {
   if (stats == nullptr || root == nullptr) return;
+  HETDB_CHECK(stats->nodes().empty());
   RegisterPlanNodesImpl(stats, root, nullptr);
-}
-
-QueryStatsPtr MakeQueryStats(const PlanNodePtr& root) {
-  auto stats = std::make_shared<QueryStats>();
-  RegisterPlanNodes(stats.get(), root);
-  return stats;
 }
 
 }  // namespace hetdb

@@ -238,12 +238,10 @@ void VisitPlanPostOrder(const PlanNodePtr& root,
 
 /// Registers every node of `root` in `stats`, pre-order (parents before
 /// children), keyed by node address; attribution sites then find their slot
-/// with `stats->Find(node.get())`.
+/// with `stats->Find(node.get())`. Only the executors call this, against the
+/// plan they run. `stats` must be empty: a QueryStats describes one
+/// execution, and nodes of another plan would leave this one unattributed.
 void RegisterPlanNodes(QueryStats* stats, const PlanNodePtr& root);
-
-/// Fresh QueryStats with `root`'s nodes registered — the executors call this
-/// when the caller did not supply stats of its own.
-QueryStatsPtr MakeQueryStats(const PlanNodePtr& root);
 
 }  // namespace hetdb
 

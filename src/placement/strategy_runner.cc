@@ -74,6 +74,12 @@ StrategyRunner::StrategyRunner(EngineContext* ctx, Strategy strategy)
   }
 }
 
+PlanNodePtr StrategyRunner::PreparePlan(const PlanNodePtr& root) const {
+  // A multi-join fused pipeline holds every build table on-device at once,
+  // the first footprint to shed under heap pressure.
+  return OptimizePlan(root, ctx_->brownout().AllowMultiJoinFusion() ? -1 : 1);
+}
+
 Result<TablePtr> StrategyRunner::RunQuery(const PlanNodePtr& root) {
   return RunQuery(root, nullptr);
 }
@@ -87,16 +93,7 @@ Result<TablePtr> StrategyRunner::RunQuery(const PlanNodePtr& root,
 
 Result<TablePtr> StrategyRunner::RunQuery(const PlanNodePtr& root,
                                           QueryControls controls) {
-  // Pipeline fusion (DESIGN.md §11): rewrite fusable chains into
-  // FusedPipeline nodes unless disabled. OptimizePlan declines the rewrite
-  // when the caller registered stats against a different (unfused) plan —
-  // callers that want fused attribution fuse before MakeQueryStats. Under
-  // brownout L1+ deep pipelines stop fusing (single-join chains only): a
-  // multi-join fused pipeline holds every build table on-device at once,
-  // the first footprint to shed under heap pressure.
-  const int max_fused_joins =
-      ctx_->brownout().AllowMultiJoinFusion() ? -1 : 1;
-  PlanNodePtr plan = OptimizePlan(root, controls.stats.get(), max_fused_joins);
+  const PlanNodePtr plan = PreparePlan(root);
   if (chopping_ != nullptr) {
     return chopping_->ExecuteQuery(plan, placer_, std::move(controls));
   }

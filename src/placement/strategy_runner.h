@@ -22,15 +22,19 @@ class StrategyRunner {
   StrategyRunner(const StrategyRunner&) = delete;
   StrategyRunner& operator=(const StrategyRunner&) = delete;
 
+  /// The plan RunQuery executes for `root`: pipeline fusion (DESIGN.md §11)
+  /// under the `KernelConfig::fusion` knob, capped at single-join chains
+  /// while the brownout controller disallows multi-join fusion (L1+). This
+  /// is the only place a query is prepared; EXPLAIN renders its output.
+  PlanNodePtr PreparePlan(const PlanNodePtr& root) const;
+
   /// Runs one query to completion and returns the host-resident result.
   Result<TablePtr> RunQuery(const PlanNodePtr& root);
 
   /// Same, attributing resources to `stats` (EXPLAIN ANALYZE, per-query
-  /// workload breakdowns). Register the plan's nodes first with
-  /// MakeQueryStats(root), or pass an empty QueryStats and the executor
-  /// registers them itself. To get fused execution *and* per-node stats,
-  /// call OptimizePlan(root) before MakeQueryStats — stats registered
-  /// against the unfused plan make the runner decline the fusion rewrite.
+  /// workload breakdowns). Pass a fresh, empty QueryStats: the executor
+  /// registers the nodes of the prepared plan in it, so per-node attribution
+  /// always describes the plan that ran.
   Result<TablePtr> RunQuery(const PlanNodePtr& root, QueryStatsPtr stats);
 
   /// Full-control variant (server/session path): cancel token, deadline, and

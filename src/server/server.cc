@@ -3,9 +3,7 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "engine/pipeline_builder.h"
 #include "sql/planner.h"
-#include "telemetry/telemetry.h"
 
 namespace hetdb {
 
@@ -95,27 +93,17 @@ SessionPtr Server::OpenSession(const std::string& tenant) {
 std::future<Result<TablePtr>> Server::Submit(const std::string& tenant,
                                              PlanNodePtr plan,
                                              SubmitOptions options) {
-  // Fuse before stats registration so per-node attribution (and the plan
-  // the dispatcher executes) follow the rewritten shape. Declined when the
-  // caller pre-registered stats against the unfused plan. Brownout L1+
-  // caps fusion at single-join chains (see pipeline_builder.h).
-  plan = OptimizePlan(
-      plan, options.stats.get(),
-      ctx_->brownout().AllowMultiJoinFusion() ? -1 : 1);
   auto query = std::make_unique<QueuedQuery>();
   query->tenant = tenant;
   query->cost = options.cost;
   query->controls.cancel = options.cancel;
   query->controls.deadline = options.deadline;
-  if (options.stats != nullptr) {
-    query->controls.stats = std::move(options.stats);
-    RegisterPlanNodes(query->controls.stats.get(), plan);
-  } else {
-    query->controls.stats = MakeQueryStats(plan);
-  }
-  QueryStats& stats = *query->controls.stats;
-  if (stats.query_id() == 0) stats.set_query_id(Telemetry::NextQueryId());
-  if (!options.name.empty()) stats.set_name(options.name);
+  // The runner prepares (fuses) the plan at dispatch and the executor
+  // registers its nodes; a query shed before then keeps an empty node list.
+  query->controls.stats = options.stats != nullptr
+                              ? std::move(options.stats)
+                              : std::make_shared<QueryStats>();
+  if (!options.name.empty()) query->controls.stats->set_name(options.name);
   query->plan = std::move(plan);
   std::future<Result<TablePtr>> future = query->promise.get_future();
   admission_.Offer(std::move(query));
@@ -140,7 +128,7 @@ void Server::DispatcherLoop() {
       // Client cancels stay cancelled; deadline misses stay missed (the
       // admission layer already classified them); shed queries never reach
       // this loop.
-      const uint64_t query_id = stats != nullptr ? stats->query_id() : 0;
+      const uint64_t query_id = stats->query_id();
       const bool watchdog_killed = ctx_->watchdog().WasKilled(query_id);
       const bool client_cancel = !watchdog_killed && cancel.cancelled();
       const StatusCode code = result.status().code();
@@ -148,9 +136,7 @@ void Server::DispatcherLoop() {
                                 code == StatusCode::kUnavailable ||
                                 code == StatusCode::kAborted;
       if (!client_cancel && (watchdog_killed || device_abort)) {
-        const std::string name =
-            stats != nullptr ? stats->name() : std::string();
-        result = HedgeReplay(query->plan, name, query_id,
+        result = HedgeReplay(query->plan, stats->name(), query_id,
                              watchdog_killed ? "watchdog_kill"
                                              : StatusCodeToString(code));
       }
@@ -172,7 +158,7 @@ Result<TablePtr> Server::HedgeReplay(const PlanNodePtr& plan,
   hedge_attempts_.fetch_add(1, std::memory_order_relaxed);
   ctx_->telemetry().registry().GetCounter("server.hedge_attempts").Increment();
   QueryControls controls;
-  controls.stats = MakeQueryStats(plan);
+  controls.stats = std::make_shared<QueryStats>();
   controls.stats->set_name(name.empty() ? "hedge" : name + ".hedge");
   if (options_.hedge_budget_ms > 0) {
     controls.deadline = std::chrono::steady_clock::now() +

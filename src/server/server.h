@@ -23,7 +23,8 @@ struct SubmitOptions {
   /// deadline is unmeetable; the executor enforces it mid-flight.
   std::chrono::steady_clock::time_point deadline =
       std::chrono::steady_clock::time_point::max();
-  /// Pass a stats object to read attribution back (EXPLAIN ANALYZE); when
+  /// Pass a fresh stats object to read attribution back (EXPLAIN ANALYZE)
+  /// and the query id (set at construction) that stamps its spans; when
   /// null the server creates one so flight-recorder summaries stay complete.
   QueryStatsPtr stats;
   /// Query name for stats / flight-recorder summaries (e.g. "Q3.2").

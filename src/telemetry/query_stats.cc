@@ -5,6 +5,7 @@
 
 #include "common/logging.h"
 #include "telemetry/exporters.h"
+#include "telemetry/telemetry.h"
 
 namespace hetdb {
 
@@ -47,6 +48,8 @@ std::string FormatMillis(int64_t micros) {
 }
 
 }  // namespace
+
+QueryStats::QueryStats() : query_id_(Telemetry::NextQueryId()) {}
 
 NodeStats* QueryStats::AddNode(const void* key, const void* parent_key,
                                std::string op, std::string label) {

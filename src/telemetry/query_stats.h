@@ -58,10 +58,12 @@ struct NodeStats {
 /// plus query-level aggregates for the costs that are attributed below the
 /// operator layer (PCIe bytes, device-heap high-water mark).
 ///
-/// Lifecycle: nodes are registered single-threaded before execution (one per
-/// plan operator, pre-order, keyed by the plan node's address); during
-/// execution any number of threads record through the atomic counters; after
-/// execution the object is read-only. QueryStats is always held by
+/// Lifecycle: a caller creates it empty; the executor registers the nodes of
+/// the plan it runs, single-threaded, as the query starts (one per plan
+/// operator, pre-order, keyed by the plan node's address), so other threads
+/// read nodes() only after the query finished; during execution any number
+/// of threads record through the atomic counters; after execution the
+/// object is read-only. QueryStats is always held by
 /// shared_ptr: device allocations attributed to a query (including ones the
 /// data cache keeps alive past query end) capture the shared_ptr, so the
 /// free-side hook never observes a dangling object.
@@ -81,7 +83,9 @@ class QueryStats {
   /// simulator models single-digit device counts).
   static constexpr int kMaxDevices = 16;
 
-  QueryStats() = default;
+  /// Draws the query's id from Telemetry::NextQueryId(): one id per query,
+  /// known to the client before submission and stamped on every span.
+  QueryStats();
   QueryStats(const QueryStats&) = delete;
   QueryStats& operator=(const QueryStats&) = delete;
 
@@ -97,7 +101,6 @@ class QueryStats {
     return nodes_;
   }
 
-  void set_query_id(uint64_t id) { query_id_ = id; }
   uint64_t query_id() const { return query_id_; }
   void set_name(std::string name) { name_ = std::move(name); }
   const std::string& name() const { return name_; }
@@ -227,7 +230,7 @@ class QueryStats {
 
   std::vector<std::unique_ptr<NodeStats>> nodes_;
   std::unordered_map<const void*, NodeStats*> index_;
-  uint64_t query_id_ = 0;
+  const uint64_t query_id_;
   std::string name_;
   std::string error_;
 

@@ -440,11 +440,13 @@ TEST(ChaosTest, WatchdogKillLeavesNoStrandedState) {
       PlanNodePtr plan = ChaosPlan("Q3.1");
       QueryControls controls;
       controls.cancel = CancelToken::Create();
-      controls.stats = MakeQueryStats(plan);
-      const uint64_t query_id = 1000u + static_cast<uint64_t>(cycle);
-      controls.stats->set_query_id(query_id);
+      // The test's watchdog kills on runtime alone, so it watches a
+      // stand-in QueryStats: the query's own stats get their nodes
+      // registered on the executor's thread, which a scan must not race.
+      auto watched = std::make_shared<QueryStats>();
+      const uint64_t query_id = watched->query_id();
       const CancelToken cancel = controls.cancel;
-      watchdog.Register(query_id, controls.stats, cancel, {},
+      watchdog.Register(query_id, watched, cancel, {},
                         /*has_deadline=*/false);
       std::future<Result<TablePtr>> future =
           std::async(std::launch::async, [&runner, &plan, &controls] {

@@ -111,14 +111,6 @@ void ExpectBitIdenticalTables(const TablePtr& ta, const TablePtr& tb) {
 // Plan helpers
 // ---------------------------------------------------------------------------
 
-size_t CountFusedNodes(const PlanNodePtr& root) {
-  size_t count = 0;
-  VisitPlanPostOrder(root, [&count](const PlanNodePtr& node) {
-    if (node->op() == PlanOp::kFusedPipeline) ++count;
-  });
-  return count;
-}
-
 /// Runs `plan` under the given strategy twice — fusion off then on — and
 /// asserts byte-identical results. Returns the fused result.
 TablePtr ExpectFusionParity(const DatabasePtr& db, const PlanNodePtr& plan,
@@ -488,7 +480,7 @@ TEST_F(FusedPipelineTest, StatsRegisteredAgainstFusedPlanAreAttributed) {
   EngineContext ctx(TestConfig(), db_);
   StrategyRunner runner(&ctx, Strategy::kCpuOnly);
   PlanNodePtr fused = FusePipelines(StarPlan());
-  QueryStatsPtr stats = MakeQueryStats(fused);
+  auto stats = std::make_shared<QueryStats>();
   ASSERT_TRUE(runner.RunQuery(fused, stats).ok());
   NodeStats* node = stats->Find(fused.get());
   ASSERT_NE(node, nullptr);
@@ -497,18 +489,20 @@ TEST_F(FusedPipelineTest, StatsRegisteredAgainstFusedPlanAreAttributed) {
   EXPECT_GE(node->rows_out.load(), 0);
 }
 
-TEST_F(FusedPipelineTest, StatsOnUnfusedPlanDisableAdoption) {
-  // Caller registered stats against the raw plan: the runner must keep the
-  // unfused plan rather than orphan the attribution.
+TEST_F(FusedPipelineTest, RawPlanWithEmptyStatsAttributesFusedNode) {
+  // The runner fuses the raw plan and the executor registers the fused
+  // shape, so attribution lands on the pipeline that actually ran.
   KernelScope scope(KernelBackend::kMorselParallel, 2, 256, /*fusion=*/true);
   EngineContext ctx(TestConfig(), db_);
   StrategyRunner runner(&ctx, Strategy::kCpuOnly);
-  PlanNodePtr plan = StarPlan();
-  QueryStatsPtr stats = MakeQueryStats(plan);
-  ASSERT_TRUE(runner.RunQuery(plan, stats).ok());
-  NodeStats* root = stats->Find(plan.get());
-  ASSERT_NE(root, nullptr);
-  EXPECT_GE(root->rows_out.load(), 0);  // the raw plan actually ran
+  auto stats = std::make_shared<QueryStats>();
+  ASSERT_TRUE(runner.RunQuery(StarPlan(), stats).ok());
+  ASSERT_FALSE(stats->nodes().empty());
+  const NodeStats& root = *stats->nodes().front();
+  EXPECT_EQ(root.op, "fused_pipeline");
+  EXPECT_GT(root.rows_in.load(), 0);
+  EXPECT_GE(root.rows_out.load(), 0);
+  EXPECT_EQ(root.ran_on.load(), 0);  // CPU
 }
 
 TEST_F(FusedPipelineTest, StaticValidationDeclinesUnknownColumns) {

@@ -64,7 +64,7 @@ void CheckParity(Strategy strategy) {
     for (const NamedQuery& query : queries) {
       Result<PlanNodePtr> plan = query.builder(*db);
       ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-      QueryStatsPtr stats = MakeQueryStats(plan.value());
+      auto stats = std::make_shared<QueryStats>();
       stats->set_name(query.name);
       Result<TablePtr> result = runner.RunQuery(plan.value(), stats);
       ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -105,7 +105,7 @@ TEST(QueryStatsParityTest, GpuOnlyActuallyMovesData) {
   const std::vector<NamedQuery> queries = SerialSelectionQueries();
   Result<PlanNodePtr> plan = queries[0].builder(*db);
   ASSERT_TRUE(plan.ok());
-  QueryStatsPtr stats = MakeQueryStats(plan.value());
+  auto stats = std::make_shared<QueryStats>();
   ASSERT_TRUE(runner.RunQuery(plan.value(), stats).ok());
   EXPECT_GT(stats->h2d_bytes(), 0);
   EXPECT_GT(stats->heap_high_water(), 0);
@@ -152,10 +152,12 @@ TEST(ExplainTest, AnalyzeShowsPerOperatorResourceAttribution) {
   ASSERT_TRUE(query.ok());
   Result<PlanNodePtr> plan = query.value().builder(*db);
   ASSERT_TRUE(plan.ok());
-  QueryStatsPtr stats = MakeQueryStats(plan.value());
+  auto stats = std::make_shared<QueryStats>();
   stats->set_name("Q1.1");
   Result<TablePtr> result = runner.RunQuery(plan.value(), stats);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
+  // The annotated tree describes the fused plan the runner prepared.
+  EXPECT_GT(FusedNodesRan(*stats), 0);
 
   const std::string text = stats->ToText();
   // Acceptance: per-operator rows, kernel time, placement, PCIe bytes, and

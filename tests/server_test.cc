@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "server/traffic.h"
 #include "sql/planner.h"
 #include "ssb/ssb_generator.h"
+#include "telemetry/trace_recorder.h"
 #include "tests/test_util.h"
 
 namespace hetdb {
@@ -367,7 +369,7 @@ TEST_F(ServerTest, ShedAtAdmissionTouchesNoDeviceResources) {
   Result<PlanNodePtr> plan =
       PlanSql("SELECT sum(lo_revenue) AS r FROM lineorder", *db_);
   ASSERT_TRUE(plan.ok());
-  QueryStatsPtr stats = MakeQueryStats(plan.value());
+  auto stats = std::make_shared<QueryStats>();
   SubmitOptions submit;
   submit.stats = stats;
   // 1ms budget against a 1s estimate: unmeetable, must shed at admission.
@@ -380,14 +382,13 @@ TEST_F(ServerTest, ShedAtAdmissionTouchesNoDeviceResources) {
   EXPECT_EQ(result.status().message().rfind("shed: ", 0), 0u);
   EXPECT_TRUE(stats->shed());
   EXPECT_TRUE(stats->finished());
-  // Rejected before execution: no operator ran, no device activity, and all
-  // node-level counters stayed untouched.
+  // Rejected before execution: no operator ran, no device activity, and the
+  // executor never registered the plan.
   EXPECT_EQ(ctx_->metrics().gpu_operators(), gpu_ops_before);
   EXPECT_EQ(ctx_->simulator().device_heap().failed_allocations(),
             heap_allocs_before);
-  for (const auto& node : stats->nodes()) {
-    EXPECT_EQ(node->run_micros.load(), 0);
-  }
+  EXPECT_TRUE(stats->nodes().empty());
+  EXPECT_EQ(stats->operators_run(), 0);
   // The flight recorder kept the shed outcome for post-mortems.
   bool found_shed_record = false;
   for (const FlightRecord& record : ctx_->flight_recorder().Snapshot()) {
@@ -415,7 +416,7 @@ TEST_F(ServerTest, QueuedQueryCancelledBeforeDispatchIsCancelled) {
   cancel.RequestCancel();  // dead on arrival: cancelled while queued
   SubmitOptions submit;
   submit.cancel = cancel;
-  QueryStatsPtr stats = MakeQueryStats(plan.value());
+  auto stats = std::make_shared<QueryStats>();
   submit.stats = stats;
   Result<TablePtr> result = session->Execute(plan.value(), submit);
 
@@ -423,9 +424,43 @@ TEST_F(ServerTest, QueuedQueryCancelledBeforeDispatchIsCancelled) {
   EXPECT_TRUE(result.status().IsCancelled());
   EXPECT_FALSE(stats->shed());
   EXPECT_TRUE(stats->finished());
-  for (const auto& node : stats->nodes()) {
-    EXPECT_EQ(node->run_micros.load(), 0);
+  EXPECT_TRUE(stats->nodes().empty());
+  EXPECT_EQ(stats->operators_run(), 0);
+}
+
+TEST_F(ServerTest, QueryIdIsStableFromSubmitToSpans) {
+  // One id per query: known before submission, unchanged by the server and
+  // the executor, and stamped on every operator span of that query.
+  Server server(ctx_.get());
+  SessionPtr session = server.OpenSession("ids");
+  Result<PlanNodePtr> plan =
+      PlanSql("SELECT sum(lo_revenue) AS r FROM lineorder", *db_);
+  ASSERT_TRUE(plan.ok());
+  auto stats = std::make_shared<QueryStats>();
+  const uint64_t constructed_id = stats->query_id();
+  EXPECT_NE(constructed_id, 0u);
+  SubmitOptions submit;
+  submit.stats = stats;
+
+  TraceRecorder& recorder = TraceRecorder::Global();
+  recorder.Clear();
+  recorder.SetEnabled(true);
+  std::future<Result<TablePtr>> future = session->Submit(plan.value(), submit);
+  const uint64_t submitted_id = stats->query_id();
+  Result<TablePtr> result = future.get();
+  recorder.SetEnabled(false);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+
+  EXPECT_EQ(submitted_id, constructed_id);
+  EXPECT_EQ(stats->query_id(), submitted_id);
+  int operator_spans = 0;
+  for (const TraceEvent& event : recorder.Snapshot()) {
+    if (std::string(event.category) != "operator") continue;
+    ++operator_spans;
+    EXPECT_EQ(event.query_id, submitted_id) << event.name;
   }
+  EXPECT_GT(operator_spans, 0);
+  recorder.Clear();
 }
 
 TEST_F(ServerTest, ConcurrentSessionsAllComplete) {

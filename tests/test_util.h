@@ -7,7 +7,9 @@
 #include <string>
 
 #include "common/config.h"
+#include "operators/plan_node.h"
 #include "storage/database.h"
+#include "telemetry/query_stats.h"
 
 namespace hetdb {
 
@@ -111,6 +113,24 @@ inline DatabasePtr MakeTinyDb() {
   EXPECT_TRUE(dim->AddColumn(std::move(name)).ok());
   EXPECT_TRUE(db->AddTable(dim).ok());
   return db;
+}
+
+/// FusedPipeline nodes in a plan tree.
+inline size_t CountFusedNodes(const PlanNodePtr& root) {
+  size_t count = 0;
+  VisitPlanPostOrder(root, [&count](const PlanNodePtr& node) {
+    if (node->op() == PlanOp::kFusedPipeline) ++count;
+  });
+  return count;
+}
+
+/// Fused-pipeline nodes registered in `stats` that ran (rows_out recorded).
+inline int FusedNodesRan(const QueryStats& stats) {
+  int ran = 0;
+  for (const auto& node : stats.nodes()) {
+    if (node->op == "fused_pipeline" && node->rows_out.load() >= 0) ++ran;
+  }
+  return ran;
 }
 
 /// Engine configuration for unit tests: no sleeps, roomy device.

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include "common/config.h"
+#include "engine/pipeline_builder.h"
 #include "ssb/ssb_generator.h"
+#include "ssb/ssb_queries.h"
 #include "tests/test_util.h"
 #include "workload/workload.h"
 
@@ -112,6 +114,42 @@ TEST(WorkloadDriverTest, WarmupTrainsPlacementBeforeMeasurement) {
   EXPECT_EQ(result.h2d_bytes, 0u);
   EXPECT_GT(result.gpu_operators, 0u);
   EXPECT_EQ(result.gpu_aborts, 0u);
+}
+
+/// Brownout L1 disables multi-join fusion for every query the runner
+/// prepares — workload-driver queries included, which are exactly the
+/// multi-user heap-contention regime the cap exists for.
+TEST(WorkloadDriverTest, BrownoutL1CapsFusionOfWorkloadQueries) {
+  DatabasePtr db = SmallSsbDb();
+  EngineContext ctx(SingleDeviceConfig(), db);
+  StrategyRunner runner(&ctx, Strategy::kCpuOnly);
+  // Q1.1 has one join (still fused at L1), Q2.1 three (fused only at L0).
+  const std::vector<NamedQuery> queries = {SsbQueryByName("Q1.1").value(),
+                                           SsbQueryByName("Q2.1").value()};
+  ctx.brownout().ForceLevel(BrownoutLevel::kL1);
+  size_t capped = 0;
+  size_t uncapped = 0;
+  for (const NamedQuery& query : queries) {
+    Result<PlanNodePtr> plan = query.builder(*db);
+    ASSERT_TRUE(plan.ok());
+    capped += CountFusedNodes(runner.PreparePlan(plan.value()));
+    uncapped += CountFusedNodes(OptimizePlan(plan.value()));
+  }
+  ASSERT_GT(capped, 0u);
+  // The kernel counter below can only tell the shapes apart by count.
+  ASSERT_NE(capped, uncapped);
+
+  Counter& invocations =
+      GlobalKernelMetrics().GetCounter("kernel.fused_pipeline.invocations");
+  const int64_t before = invocations.value();
+  WorkloadRunOptions options;
+  options.repetitions = 1;
+  options.warmup_repetitions = 0;
+  WorkloadRunResult result = RunWorkload(runner, queries, options);
+  EXPECT_EQ(result.queries_run, 2u);
+  EXPECT_EQ(result.failed_queries, 0u);
+  EXPECT_EQ(invocations.value() - before, static_cast<int64_t>(capped));
+  EXPECT_EQ(ctx.brownout().level(), BrownoutLevel::kL1);
 }
 
 /// The paper's core robustness claim, as a unit test: with a heap too small
