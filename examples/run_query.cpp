@@ -1,13 +1,17 @@
 // run_query: execute one SSB query and print a checksum of its result.
 //
-// The CI fusion smoke runs the same query with --fusion=off and --fusion=on
-// and diffs the stdout lines — operator fusion must be invisible in results
-// (DESIGN.md §11). Informational output (timing, heap footprint) goes to
-// stderr so stdout stays diff-stable.
+// The CI smokes run each query with --fusion=off and --fusion=on, and with
+// and without --sql, and diff the stdout lines: neither operator fusion
+// (DESIGN.md §11) nor planning from SQL may change a result. Informational
+// output (timing, heap footprint) goes to stderr so stdout stays
+// diff-stable.
 //
 // Usage:
 //   run_query [--query Q2.1] [--fusion=on|off] [--sf 0.2]
-//             [--strategy cpu|gpu|chopping]
+//             [--strategy cpu|gpu|chopping] [--sql]
+//
+// --sql plans the query from its SQL text (SsbQuerySql) instead of its
+// hand-built plan.
 
 #include <cstdint>
 #include <cstdio>
@@ -17,6 +21,7 @@
 
 #include "common/config.h"
 #include "placement/strategy_runner.h"
+#include "sql/planner.h"
 #include "ssb/ssb_generator.h"
 #include "ssb/ssb_queries.h"
 
@@ -79,6 +84,7 @@ int Run(int argc, char** argv) {
   std::string strategy_name = "gpu";
   double scale_factor = 0.2;
   bool fusion = true;
+  bool from_sql = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value = [&](const char* prefix) -> const char* {
@@ -98,6 +104,8 @@ int Run(int argc, char** argv) {
       strategy_name = value("--strategy=");
     } else if (arg == "--strategy" && i + 1 < argc) {
       strategy_name = argv[++i];
+    } else if (arg == "--sql") {
+      from_sql = true;
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
       return 2;
@@ -133,7 +141,9 @@ int Run(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", query.status().ToString().c_str());
     return 2;
   }
-  Result<PlanNodePtr> plan = query->builder(*db);
+  Result<PlanNodePtr> plan = from_sql
+                                 ? PlanSql(SsbQuerySql(query_name).value(), *db)
+                                 : query->builder(*db);
   if (!plan.ok()) {
     std::fprintf(stderr, "%s\n", plan.status().ToString().c_str());
     return 2;
@@ -145,11 +155,12 @@ int Run(int argc, char** argv) {
     return 1;
   }
 
-  std::fprintf(stderr, "# %s strategy=%s fusion=%s heap_high_water=%lld\n",
+  std::fprintf(stderr,
+               "# %s strategy=%s fusion=%s plan=%s heap_high_water=%lld\n",
                query_name.c_str(), strategy_name.c_str(),
-               fusion ? "on" : "off",
+               fusion ? "on" : "off", from_sql ? "sql" : "builder",
                static_cast<long long>(stats->heap_high_water()));
-  // stdout: stable across fusion on/off — the CI smoke diffs it.
+  // stdout: stable across fusion on/off and --sql — the CI smokes diff it.
   std::printf("%s rows=%zu cols=%zu checksum=%016llx\n", query_name.c_str(),
               result.value()->num_rows(), result.value()->num_columns(),
               static_cast<unsigned long long>(ChecksumTable(*result.value())));

@@ -70,12 +70,10 @@ Result<OperatorResult> ExecuteOnCpu(const PlanNode& node,
 
   if (node.op() != PlanOp::kScan) {
     const size_t input_bytes = node.InputBytes(input_tables);
-    ctx.simulator().ChargeCompute(ProcessorKind::kCpu, node.op_class(),
-                                  input_bytes);
     AttributeKernelMicros(
         ProcessorKind::kCpu,
-        ctx.simulator().EstimateComputeMicros(ProcessorKind::kCpu,
-                                              node.op_class(), input_bytes));
+        ctx.simulator().ChargeCompute(ProcessorKind::kCpu, node.op_class(),
+                                      input_bytes));
     // HyPE learns from *measured* durations (normalized back to modeled
     // units), so the model captures slot contention and queueing that the
     // analytical bootstrap cannot know about.
@@ -212,12 +210,10 @@ Result<OperatorResult> ExecuteOnGpu(const PlanNode& node,
   Stopwatch kernel_watch;
   HETDB_ASSIGN_OR_RETURN(TablePtr output, node.ComputeResult(input_tables));
   const size_t input_bytes = node.InputBytes(input_tables);
-  ctx.simulator().ChargeCompute(ProcessorKind::kGpu, node.op_class(),
-                                input_bytes, device);
   AttributeKernelMicros(
       ProcessorKind::kGpu,
-      ctx.simulator().EstimateComputeMicros(ProcessorKind::kGpu,
-                                            node.op_class(), input_bytes));
+      ctx.simulator().ChargeCompute(ProcessorKind::kGpu, node.op_class(),
+                                    input_bytes, device));
   ctx.cost_model().Observe(
       ProcessorKind::kGpu, node.op_class(), input_bytes,
       kernel_watch.ElapsedMicros() / ctx.config().time_scale);

@@ -78,7 +78,7 @@ struct AggBinding {
 struct BoundChain {
   /// Every select member's CNF, compiled against the source table (all
   /// predicates are source-bound or binding declines).
-  std::vector<std::vector<CompiledAtom>> conjuncts;
+  CompiledCnf conjuncts;
   std::vector<BoundJoin> joins;  ///< bottom-up join levels
   std::vector<ComputedCol> computed;
   std::vector<SchemaCol> schema;  ///< output schema (non-aggregate terminal)
@@ -776,14 +776,7 @@ Result<TablePtr> EvaluateBoundChain(const BoundChain& bound,
     if (keep.size() < morsel) keep.resize(morsel);
     if (dis.size() < morsel) dis.resize(morsel);
     cur.resize(num_joins);
-    std::fill(keep.begin(), keep.begin() + len, uint8_t{1});
-    for (const std::vector<CompiledAtom>& atoms : bound.conjuncts) {
-      std::fill(dis.begin(), dis.begin() + len, uint8_t{0});
-      for (const CompiledAtom& atom : atoms) {
-        OrAtomInto(atom, begin, len, dis.data());
-      }
-      for (size_t i = 0; i < len; ++i) keep[i] &= dis[i];
-    }
+    EvalCnfInto(bound.conjuncts, begin, len, keep.data(), dis.data());
     // Branch-free survivor extraction (store-always, advance-by-mask): the
     // keep[] bits are effectively random at mid selectivities, so a
     // conditional skip in the probe loop would mispredict once per row.
@@ -802,8 +795,9 @@ Result<TablePtr> EvaluateBoundChain(const BoundChain& bound,
       src_buf.assign(surv.begin(), surv.begin() + survivors);
       return;
     }
-    src_buf.reserve(survivors);
-    for (std::vector<uint32_t>& buf : lvl_buf) buf.reserve(survivors);
+    // The match buffers grow with the matches. Reserving a slot per survivor
+    // would hold memory for every source row that no join level matches,
+    // which is most of an unfiltered fact-table source.
     if (num_joins == 1) {
       // Flat single-level probe: a level-0 key is always source-bound, so
       // the chain walk inlines with no recursion and no dispatch.

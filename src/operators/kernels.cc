@@ -437,6 +437,34 @@ void OrAtomInto(const CompiledAtom& atom, size_t begin, size_t len,
   }
 }
 
+Result<CompiledCnf> CompileCnf(const Table& input,
+                               const ConjunctiveFilter& filter) {
+  CompiledCnf cnf;
+  cnf.reserve(filter.conjuncts.size());
+  for (const Disjunction& disjunction : filter.conjuncts) {
+    std::vector<CompiledAtom> atoms;
+    atoms.reserve(disjunction.atoms.size());
+    for (const Predicate& atom : disjunction.atoms) {
+      HETDB_ASSIGN_OR_RETURN(CompiledAtom compiled, CompileAtom(input, atom));
+      atoms.push_back(compiled);
+    }
+    cnf.push_back(std::move(atoms));
+  }
+  return cnf;
+}
+
+void EvalCnfInto(const CompiledCnf& cnf, size_t begin, size_t len,
+                 uint8_t* keep, uint8_t* scratch) {
+  std::fill(keep, keep + len, uint8_t{1});
+  for (const std::vector<CompiledAtom>& atoms : cnf) {
+    std::fill(scratch, scratch + len, uint8_t{0});
+    for (const CompiledAtom& atom : atoms) {
+      OrAtomInto(atom, begin, len, scratch);
+    }
+    for (size_t i = 0; i < len; ++i) keep[i] &= scratch[i];
+  }
+}
+
 }  // namespace kernel_internal
 
 namespace {
@@ -474,23 +502,13 @@ Result<std::vector<uint32_t>> EvaluateFilterScalar(
 Result<std::vector<uint32_t>> EvaluateFilterParallel(
     const Table& input, const ConjunctiveFilter& filter, KernelStats& stats) {
   const size_t n = input.num_rows();
-  std::vector<std::vector<CompiledAtom>> conjuncts;
-  conjuncts.reserve(filter.conjuncts.size());
-  for (const Disjunction& disjunction : filter.conjuncts) {
-    std::vector<CompiledAtom> atoms;
-    atoms.reserve(disjunction.atoms.size());
-    for (const Predicate& atom : disjunction.atoms) {
-      HETDB_ASSIGN_OR_RETURN(CompiledAtom compiled, CompileAtom(input, atom));
-      atoms.push_back(compiled);
-    }
-    conjuncts.push_back(std::move(atoms));
-  }
+  HETDB_ASSIGN_OR_RETURN(const CompiledCnf cnf, CompileCnf(input, filter));
 
   const size_t morsel = ConfigMorselRows();
   const size_t num_morsels = n == 0 ? 0 : (n + morsel - 1) / morsel;
   const int max_workers = MaxParallelWorkers(n, morsel);
 
-  std::vector<uint8_t> keep(n, 1);
+  std::vector<uint8_t> keep(n);
   std::vector<size_t> kept_in_morsel(num_morsels, 0);
   std::vector<std::vector<uint8_t>> disjunct_scratch(max_workers);
 
@@ -500,13 +518,7 @@ Result<std::vector<uint32_t>> EvaluateFilterParallel(
         std::vector<uint8_t>& dis = disjunct_scratch[worker];
         if (dis.size() < morsel) dis.resize(morsel);
         uint8_t* keep_at = keep.data() + begin;
-        for (const std::vector<CompiledAtom>& atoms : conjuncts) {
-          std::fill(dis.begin(), dis.begin() + len, uint8_t{0});
-          for (const CompiledAtom& atom : atoms) {
-            OrAtomInto(atom, begin, len, dis.data());
-          }
-          for (size_t i = 0; i < len; ++i) keep_at[i] &= dis[i];
-        }
+        EvalCnfInto(cnf, begin, len, keep_at, dis.data());
         size_t kept = 0;
         for (size_t i = 0; i < len; ++i) kept += keep_at[i];
         kept_in_morsel[begin / morsel] = kept;
@@ -1561,6 +1573,40 @@ size_t FilterInputBytes(const Table& input, const ConjunctiveFilter& filter) {
     }
   }
   return bytes;
+}
+
+Result<double> SampleFilterSelectivity(const Table& input,
+                                       const ConjunctiveFilter& filter) {
+  const size_t n = input.num_rows();
+  if (n == 0 || filter.empty()) return 1.0;
+  HETDB_ASSIGN_OR_RETURN(const CompiledCnf cnf, CompileCnf(input, filter));
+  // The sample is kSampleBlocks blocks of contiguous rows, so each atom is
+  // evaluated a block at a time and each block costs a few cache lines. A
+  // small table is read whole. In a large one, block b starts at the
+  // fraction b/phi (mod 1) of the table: the blocks spread evenly and never
+  // fall in step with a periodic column, as a whole-row stride can.
+  constexpr size_t kSampleBlocks = 32;
+  constexpr size_t kBlockRows = kSelectivitySampleRows / kSampleBlocks;
+  constexpr double kInverseGoldenRatio = 0.6180339887498949;
+  const bool whole = n <= kSelectivitySampleRows;
+  const size_t blocks =
+      whole ? (n + kBlockRows - 1) / kBlockRows : kSampleBlocks;
+  uint8_t keep[kBlockRows];
+  uint8_t scratch[kBlockRows];
+  size_t samples = 0, kept = 0;
+  for (size_t b = 0; b < blocks; ++b) {
+    size_t begin = b * kBlockRows;
+    if (!whole) {
+      const double at = static_cast<double>(b) * kInverseGoldenRatio;
+      begin = static_cast<size_t>((at - std::floor(at)) *
+                                  static_cast<double>(n - kBlockRows + 1));
+    }
+    const size_t len = std::min(kBlockRows, n - begin);
+    EvalCnfInto(cnf, begin, len, keep, scratch);
+    for (size_t i = 0; i < len; ++i) kept += keep[i];
+    samples += len;
+  }
+  return static_cast<double>(kept) / static_cast<double>(samples);
 }
 
 }  // namespace hetdb

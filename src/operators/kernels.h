@@ -73,6 +73,18 @@ Result<TablePtr> Limit(const Table& input, size_t n, const std::string& name);
 /// columns), used for cost accounting.
 size_t FilterInputBytes(const Table& input, const ConjunctiveFilter& filter);
 
+/// Rows sampled by `SampleFilterSelectivity`, at most.
+constexpr size_t kSelectivitySampleRows = 1024;
+
+/// Fraction of `input`'s rows that pass `filter`, measured on a
+/// deterministic strided sample of at most `kSelectivitySampleRows` rows (in
+/// blocks of contiguous rows) with the same compiled predicates the filter
+/// kernels use. Reads only the filter's columns and records no kernel
+/// telemetry, so planner estimates never count as operator work. An empty
+/// table or filter yields 1.
+Result<double> SampleFilterSelectivity(const Table& input,
+                                       const ConjunctiveFilter& filter);
+
 }  // namespace hetdb
 
 #endif  // HETDB_OPERATORS_KERNELS_H_

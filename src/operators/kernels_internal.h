@@ -154,6 +154,18 @@ Result<CompiledAtom> CompileAtom(const Table& input, const Predicate& atom);
 void OrAtomInto(const CompiledAtom& atom, size_t begin, size_t len,
                 uint8_t* out);
 
+/// A CNF filter lowered against one table: the OR-ed atoms of each conjunct.
+using CompiledCnf = std::vector<std::vector<CompiledAtom>>;
+
+/// Lowers every atom of `filter` against `input` with CompileAtom.
+Result<CompiledCnf> CompileCnf(const Table& input,
+                               const ConjunctiveFilter& filter);
+
+/// Sets `keep[i]` to whether row begin+i passes `cnf`, for i < len.
+/// `scratch` holds at least `len` bytes.
+void EvalCnfInto(const CompiledCnf& cnf, size_t begin, size_t len,
+                 uint8_t* keep, uint8_t* scratch);
+
 // ---------------------------------------------------------------------------
 // Aggregation accumulators
 // ---------------------------------------------------------------------------

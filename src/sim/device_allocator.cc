@@ -32,8 +32,9 @@ Result<DeviceAllocation> DeviceAllocator::Allocate(size_t bytes,
         tag + ", used " + std::to_string(current) + "/" +
         std::to_string(capacity_));
   }
-  const size_t now = current + bytes;
-  used_.store(now, std::memory_order_relaxed);
+  // Add, not store: Free() runs without the mutex, and a store of
+  // `current + bytes` would overwrite a concurrent free and leak its bytes.
+  const size_t now = used_.fetch_add(bytes, std::memory_order_relaxed) + bytes;
   if (now > peak_used_.load(std::memory_order_relaxed)) {
     peak_used_.store(now, std::memory_order_relaxed);
   }

@@ -82,19 +82,21 @@ double Simulator::EstimateTransferMicros(size_t bytes) const {
   return static_cast<double>(bytes) / config_.pcie_mbps;
 }
 
-void Simulator::ChargeCompute(ProcessorKind processor, OpClass op_class,
-                              size_t input_bytes, int device) {
+double Simulator::ChargeCompute(ProcessorKind processor, OpClass op_class,
+                                size_t input_bytes, int device) {
   const double micros = EstimateComputeMicros(processor, op_class, input_bytes);
   if (processor == ProcessorKind::kGpu) {
     std::lock_guard<std::mutex> lock(devices_[Check(device)]->kernel_mutex);
     clock_.Charge(micros);
-  } else {
-    // Intra-operator parallelism: the kernel runs on every currently idle
-    // core; under high inter-operator concurrency each operator gets one.
-    const int slots = cpu_slots_.AcquireUpTo(config_.cpu_workers);
-    clock_.Charge(micros / slots);
-    cpu_slots_.Release(slots);
+    return micros;
   }
+  // Intra-operator parallelism: the kernel runs on every currently idle
+  // core; under high inter-operator concurrency each operator gets one.
+  const int slots = cpu_slots_.AcquireUpTo(config_.cpu_workers);
+  const double charged = micros / slots;
+  clock_.Charge(charged);
+  cpu_slots_.Release(slots);
+  return charged;
 }
 
 Status Simulator::TransferDeviceToDevice(size_t bytes, int from, int to) {

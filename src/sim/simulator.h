@@ -112,9 +112,10 @@ class Simulator {
   /// Models executing one operator kernel of class `op_class` over
   /// `input_bytes` of data on `processor` (device `device` when kGpu).
   /// Blocks for the modeled duration (plus any queuing for a CPU slot / the
-  /// device's kernel lock).
-  void ChargeCompute(ProcessorKind processor, OpClass op_class,
-                     size_t input_bytes, int device = 0);
+  /// device's kernel lock) and returns that duration: on the CPU, the
+  /// single-core estimate divided by the slots the kernel ran on.
+  double ChargeCompute(ProcessorKind processor, OpClass op_class,
+                       size_t input_bytes, int device = 0);
 
   /// Moves `bytes` from device `from` to device `to`. With a dedicated D2D
   /// interconnect configured (`d2d_mbps > 0`) the copy serializes on that

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <tuple>
 
+#include "operators/kernels.h"
 #include "sql/parser.h"
 
 namespace hetdb {
@@ -15,14 +17,13 @@ struct TableState {
   TablePtr table;
   ConjunctiveFilter filter;            // pushed-down single-table predicates
   std::set<std::string> needed;        // columns this table must provide
+  double selectivity = 1.0;            // sampled fraction passing `filter`
   bool joined = false;
-};
 
-/// Rough output-size estimate used for greedy join ordering.
-double EstimatedRows(const TableState& state) {
-  const double selectivity = state.filter.empty() ? 1.0 : 0.1;
-  return static_cast<double>(state.table->num_rows()) * selectivity;
-}
+  double EstimatedRows() const {
+    return static_cast<double>(table->num_rows()) * selectivity;
+  }
+};
 
 Predicate MakeComparePredicate(const SqlPredicate& predicate) {
   Predicate result;
@@ -149,21 +150,44 @@ Result<PlanNodePtr> PlanQuery(const SelectStatement& statement,
     return plan;
   };
 
-  // Greedy join order: start at the smallest estimated table and repeatedly
-  // join the smallest table connected to the current result.
+  // Star-join order. With joins to order, each pushed-down filter is sampled
+  // once for its selectivity. A filter that fails to compile fails the same
+  // way when the plan runs, which reports it; here it keeps every row.
+  if (tables.size() > 1) {
+    for (auto& [name, state] : tables) {
+      Result<double> selectivity =
+          SampleFilterSelectivity(*state.table, state.filter);
+      if (selectivity.ok()) state.selectivity = selectivity.value();
+    }
+  }
+  // The probe source is the relation keeping the most rows (the fact table
+  // of a star schema); every join builds on the newly joined relation. Ties
+  // go to the first name.
   std::string start;
   for (const auto& [name, state] : tables) {
-    if (start.empty() || EstimatedRows(state) < EstimatedRows(tables[start])) {
+    if (start.empty() ||
+        state.EstimatedRows() > tables[start].EstimatedRows()) {
       start = name;
     }
   }
+  // Among the relations connected to the current result, the most selective
+  // joins next, since it removes the most probe rows; ties go to fewer
+  // estimated rows, then to the first name.
+  auto joins_before = [&](const std::string& a, const std::string& b) {
+    const TableState& x = tables[a];
+    const TableState& y = tables[b];
+    const double x_rows = x.EstimatedRows();
+    const double y_rows = y.EstimatedRows();
+    return std::tie(x.selectivity, x_rows, a) <
+           std::tie(y.selectivity, y_rows, b);
+  };
   PlanNodePtr current = build_subplan(tables[start]);
   tables[start].joined = true;
   std::set<std::string> available = tables[start].needed;
 
   size_t remaining = tables.size() - 1;
   while (remaining > 0) {
-    // Pick the unused edge whose other side is joinable and smallest.
+    // Pick the unused edge whose other side is joinable and joins first.
     int best_edge = -1;
     std::string best_table;
     for (size_t e = 0; e < edges.size(); ++e) {
@@ -178,8 +202,7 @@ Result<PlanNodePtr> PlanQuery(const SelectStatement& statement,
       } else {
         continue;
       }
-      if (best_edge < 0 || EstimatedRows(tables[candidate]) <
-                               EstimatedRows(tables[best_table])) {
+      if (best_edge < 0 || joins_before(candidate, best_table)) {
         best_edge = static_cast<int>(e);
         best_table = candidate;
       }

@@ -360,6 +360,40 @@ Result<PlanNodePtr> Q43(const Database& db) {
       {"d_year", "s_city", "p_brand1"}, {}, {"s_city"}, {"p_brand1"});
 }
 
+// --- SQL texts --------------------------------------------------------------
+
+std::string Flight1Sql(const std::string& where) {
+  return "SELECT sum(lo_extendedprice * lo_discount) AS revenue "
+         "FROM lineorder, date WHERE lo_orderdate = d_datekey AND " +
+         where;
+}
+
+std::string Flight2Sql(const std::string& where) {
+  return "SELECT d_year, p_brand1, sum(lo_revenue) AS revenue "
+         "FROM lineorder, date, part, supplier "
+         "WHERE lo_orderdate = d_datekey AND lo_partkey = p_partkey "
+         "AND lo_suppkey = s_suppkey AND " +
+         where + " GROUP BY d_year, p_brand1 ORDER BY d_year, p_brand1";
+}
+
+/// `geo` is the grouping granularity of both dimensions: "nation" or "city".
+std::string Flight3Sql(const std::string& geo, const std::string& where) {
+  const std::string group = "c_" + geo + ", s_" + geo + ", d_year";
+  return "SELECT " + group + ", sum(lo_revenue) AS revenue "
+         "FROM customer, lineorder, supplier, date "
+         "WHERE lo_custkey = c_custkey AND lo_suppkey = s_suppkey "
+         "AND lo_orderdate = d_datekey AND " + where + " GROUP BY " + group +
+         " ORDER BY d_year, revenue DESC";
+}
+
+std::string Flight4Sql(const std::string& group, const std::string& where) {
+  return "SELECT " + group + ", sum(lo_revenue - lo_supplycost) AS profit "
+         "FROM date, customer, supplier, part, lineorder "
+         "WHERE lo_custkey = c_custkey AND lo_suppkey = s_suppkey "
+         "AND lo_partkey = p_partkey AND lo_orderdate = d_datekey AND " +
+         where + " GROUP BY " + group + " ORDER BY " + group;
+}
+
 }  // namespace
 
 std::vector<NamedQuery> SsbQueries() {
@@ -374,6 +408,49 @@ std::vector<NamedQuery> SsbQueries() {
 Result<NamedQuery> SsbQueryByName(const std::string& name) {
   for (NamedQuery& query : SsbQueries()) {
     if (query.name == name) return query;
+  }
+  return Status::NotFound("no SSB query named '" + name + "'");
+}
+
+Result<std::string> SsbQuerySql(const std::string& name) {
+  const std::vector<std::pair<std::string, std::string>> queries = {
+      {"Q1.1", Flight1Sql("d_year = 1993 AND lo_discount BETWEEN 1 AND 3 "
+                          "AND lo_quantity < 25")},
+      {"Q1.2", Flight1Sql("d_yearmonthnum = 199401 "
+                          "AND lo_discount BETWEEN 4 AND 6 "
+                          "AND lo_quantity BETWEEN 26 AND 35")},
+      {"Q1.3", Flight1Sql("d_weeknuminyear = 6 AND d_year = 1994 "
+                          "AND lo_discount BETWEEN 5 AND 7 "
+                          "AND lo_quantity BETWEEN 26 AND 35")},
+      {"Q2.1", Flight2Sql("p_category = 'MFGR#12' AND s_region = 'AMERICA'")},
+      {"Q2.2", Flight2Sql("p_brand1 BETWEEN 'MFGR#2221' AND 'MFGR#2228' "
+                          "AND s_region = 'ASIA'")},
+      {"Q2.3", Flight2Sql("p_brand1 = 'MFGR#2239' AND s_region = 'EUROPE'")},
+      {"Q3.1", Flight3Sql("nation", "c_region = 'ASIA' AND s_region = 'ASIA' "
+                                    "AND d_year BETWEEN 1992 AND 1997")},
+      {"Q3.2", Flight3Sql("city", "c_nation = 'UNITED STATES' "
+                                  "AND s_nation = 'UNITED STATES' "
+                                  "AND d_year BETWEEN 1992 AND 1997")},
+      {"Q3.3", Flight3Sql("city", "c_city IN ('UNITED KI1', 'UNITED KI5') "
+                                  "AND s_city IN ('UNITED KI1', 'UNITED KI5') "
+                                  "AND d_year BETWEEN 1992 AND 1997")},
+      {"Q3.4", Flight3Sql("city", "c_city IN ('UNITED KI1', 'UNITED KI5') "
+                                  "AND s_city IN ('UNITED KI1', 'UNITED KI5') "
+                                  "AND d_yearmonth = 'Dec1997'")},
+      {"Q4.1", Flight4Sql("d_year, c_nation",
+                          "c_region = 'AMERICA' AND s_region = 'AMERICA' "
+                          "AND p_mfgr IN ('MFGR#1', 'MFGR#2')")},
+      {"Q4.2", Flight4Sql("d_year, s_nation, p_category",
+                          "c_region = 'AMERICA' AND s_region = 'AMERICA' "
+                          "AND d_year IN (1997, 1998) "
+                          "AND p_mfgr IN ('MFGR#1', 'MFGR#2')")},
+      {"Q4.3", Flight4Sql("d_year, s_city, p_brand1",
+                          "c_region = 'AMERICA' AND s_nation = 'UNITED STATES' "
+                          "AND d_year IN (1997, 1998) "
+                          "AND p_category = 'MFGR#14'")},
+  };
+  for (const auto& [query_name, sql] : queries) {
+    if (query_name == name) return sql;
   }
   return Status::NotFound("no SSB query named '" + name + "'");
 }

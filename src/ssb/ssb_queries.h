@@ -25,6 +25,10 @@ std::vector<NamedQuery> SsbQueries();
 /// Looks up one SSB query by name ("Q1.1" ... "Q4.3").
 Result<NamedQuery> SsbQueryByName(const std::string& name);
 
+/// The SQL text of one SSB query ("Q1.1" ... "Q4.3"). Planned by `PlanSql`,
+/// it computes the same result table as the query's builder.
+Result<std::string> SsbQuerySql(const std::string& name);
+
 }  // namespace hetdb
 
 #endif  // HETDB_SSB_SSB_QUERIES_H_

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "operators/kernels.h"
+#include "telemetry/telemetry.h"
 
 namespace hetdb {
 namespace {
@@ -102,6 +103,43 @@ TEST(FilterTest, ErrorsAreReported) {
   auto numeric_vs_string = EvaluateFilter(
       *t, ConjunctiveFilter::And({Predicate::Eq("i32", "three")}));
   EXPECT_EQ(numeric_vs_string.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(SelectivityTest, SmallTablesAreSampledWhole) {
+  TablePtr t = MakeTable();
+  ConjunctiveFilter cnf;
+  cnf.conjuncts.push_back(Disjunction{Predicate::Eq("i32", int64_t{3}),
+                                      Predicate::Eq("i32", int64_t{8})});
+  cnf.conjuncts.push_back(Disjunction(Predicate::Ge("i64", int64_t{30})));
+  auto selectivity = SampleFilterSelectivity(*t, cnf);
+  ASSERT_TRUE(selectivity.ok());
+  EXPECT_DOUBLE_EQ(selectivity.value(), 3.0 / 5.0);  // rows {1, 2, 3}
+  EXPECT_DOUBLE_EQ(SampleFilterSelectivity(*t, ConjunctiveFilter{}).value(),
+                   1.0);
+  EXPECT_EQ(SampleFilterSelectivity(
+                *t, ConjunctiveFilter::And({Predicate::Eq("nope", int64_t{1})}))
+                .status()
+                .code(),
+            StatusCode::kNotFound);
+}
+
+TEST(SelectivityTest, LargeTablesAreSampledWithoutKernelTelemetry) {
+  // A periodic column whose period divides the row count: a whole-row
+  // stride would see few residues.
+  auto table = std::make_shared<Table>("big");
+  std::vector<int32_t> values(102400);
+  for (size_t i = 0; i < values.size(); ++i) values[i] = i % 100;
+  ASSERT_TRUE(
+      table->AddColumn(std::make_shared<Int32Column>("v", std::move(values)))
+          .ok());
+  Counter& filters =
+      GlobalKernelMetrics().GetCounter("kernel.filter.invocations");
+  const int64_t before = filters.value();
+  auto selectivity = SampleFilterSelectivity(
+      *table, ConjunctiveFilter::And({Predicate::Lt("v", int64_t{30})}));
+  ASSERT_TRUE(selectivity.ok());
+  EXPECT_NEAR(selectivity.value(), 0.3, 0.1);
+  EXPECT_EQ(filters.value(), before);
 }
 
 TEST(GatherTest, GathersAllColumnTypes) {

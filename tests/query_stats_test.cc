@@ -112,6 +112,35 @@ TEST(QueryStatsParityTest, GpuOnlyActuallyMovesData) {
   EXPECT_GT(stats->operators_run(), 0);
 }
 
+TEST(QueryStatsParityTest, CpuKernelTimeEqualsModeledClockTime) {
+  // A query alone on the host runs each kernel on every CPU slot, so the
+  // modeled time that passes is the single-core estimate divided by the
+  // slots; per-node CPU kernel time must report that, not the estimate.
+  DatabasePtr db = SsbDb();
+  SystemConfig config;
+  config.simulate_time = false;
+  config.cpu_workers = 4;
+  EngineContext ctx(config, db);
+  StrategyRunner runner(&ctx, Strategy::kCpuOnly);
+  Result<NamedQuery> query = SsbQueryByName("Q2.1");
+  ASSERT_TRUE(query.ok());
+  Result<PlanNodePtr> plan = query->builder(*db);
+  ASSERT_TRUE(plan.ok());
+  auto stats = std::make_shared<QueryStats>();
+  const int64_t before = ctx.simulator().clock().total_charged_micros();
+  ASSERT_TRUE(runner.RunQuery(plan.value(), stats).ok());
+  const int64_t charged =
+      ctx.simulator().clock().total_charged_micros() - before;
+  int64_t attributed = 0;
+  for (const auto& node : stats->nodes()) {
+    EXPECT_EQ(node->gpu_kernel_micros.load(), 0) << node->label;
+    attributed += node->cpu_kernel_micros.load();
+  }
+  EXPECT_GT(charged, 0);
+  EXPECT_NEAR(attributed, charged,
+              static_cast<double>(stats->nodes().size()));
+}
+
 // -----------------------------------------------------------------------------
 // EXPLAIN / EXPLAIN ANALYZE rendering
 // -----------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "operators/fused_pipeline.h"
 #include "placement/strategy_runner.h"
 #include "sql/lexer.h"
 #include "sql/planner.h"
@@ -197,31 +198,6 @@ TEST_F(SqlEndToEndTest, SingleTableAggregation) {
             n);
 }
 
-TEST_F(SqlEndToEndTest, SqlQ11MatchesHandBuiltPlan) {
-  TablePtr sql_result = Run(
-      "SELECT sum(lo_extendedprice * lo_discount) AS revenue "
-      "FROM lineorder, date "
-      "WHERE lo_orderdate = d_datekey AND d_year = 1993 "
-      "AND lo_discount BETWEEN 1 AND 3 AND lo_quantity < 25");
-  ASSERT_NE(sql_result, nullptr);
-
-  Result<NamedQuery> q11 = SsbQueryByName("Q1.1");
-  ASSERT_TRUE(q11.ok());
-  Result<PlanNodePtr> plan = q11->builder(*db_);
-  ASSERT_TRUE(plan.ok());
-  EngineContext ctx(TestConfig(), db_);
-  StrategyRunner runner(&ctx, Strategy::kCpuOnly);
-  Result<TablePtr> reference = runner.RunQuery(plan.value());
-  ASSERT_TRUE(reference.ok());
-
-  ASSERT_EQ(sql_result->num_rows(), reference.value()->num_rows());
-  EXPECT_EQ(ColumnCast<Int64Column>(*sql_result->GetColumn("revenue").value())
-                .value(0),
-            ColumnCast<Int64Column>(
-                *reference.value()->GetColumn("revenue").value())
-                .value(0));
-}
-
 TEST_F(SqlEndToEndTest, MultiJoinGroupByOrderBy) {
   TablePtr result = Run(
       "SELECT c_nation, d_year, sum(lo_revenue) AS revenue "
@@ -283,6 +259,149 @@ TEST_F(SqlEndToEndTest, SameTableColumnEqualityIsResidualFilter) {
   }
   EXPECT_EQ(ColumnCast<Int64Column>(*result->GetColumn("n").value()).value(0),
             expected);
+}
+
+// --- SSB: SQL plans against the hand-built plans ----------------------------
+
+/// Sets the plan-fusion knob for one scope.
+class FusionScope {
+ public:
+  explicit FusionScope(bool fusion) : saved_(GlobalKernelConfig().fusion) {
+    GlobalKernelConfig().fusion = fusion;
+  }
+  ~FusionScope() { GlobalKernelConfig().fusion = saved_; }
+
+ private:
+  bool saved_;
+};
+
+PlanNodePtr PlanSsbSql(const std::string& name, const Database& db) {
+  Result<std::string> sql = SsbQuerySql(name);
+  EXPECT_TRUE(sql.ok()) << name << ": " << sql.status();
+  if (!sql.ok()) return nullptr;
+  Result<PlanNodePtr> plan = PlanSql(sql.value(), db);
+  EXPECT_TRUE(plan.ok()) << name << ": " << plan.status();
+  return plan.ok() ? plan.value() : nullptr;
+}
+
+/// True when the subtree rooted at `root` scans `table`.
+bool ScansTable(const PlanNodePtr& root, const std::string& table) {
+  bool found = false;
+  VisitPlanPostOrder(root, [&](const PlanNodePtr& node) {
+    if (node->op() == PlanOp::kScan &&
+        static_cast<const ScanNode&>(*node).table()->name() == table) {
+      found = true;
+    }
+  });
+  return found;
+}
+
+TEST_F(SqlEndToEndTest, EverySsbSqlQueryMatchesItsBuilderPlan) {
+  for (Strategy strategy :
+       {Strategy::kCpuOnly, Strategy::kDataDrivenChopping}) {
+    for (bool fusion : {false, true}) {
+      SCOPED_TRACE(std::string(StrategyToString(strategy)) +
+                   (fusion ? " fusion on" : " fusion off"));
+      FusionScope scope(fusion);
+      EngineContext ctx(TestConfig(), db_);
+      StrategyRunner runner(&ctx, strategy);
+      // Data-driven: cache what earlier runs touched, so some operators run
+      // on the device.
+      runner.RefreshDataPlacement();
+      int non_empty = 0;
+      for (const NamedQuery& query : SsbQueries()) {
+        SCOPED_TRACE(query.name);
+        Result<PlanNodePtr> built = query.builder(*db_);
+        ASSERT_TRUE(built.ok()) << built.status();
+        PlanNodePtr planned = PlanSsbSql(query.name, *db_);
+        ASSERT_NE(planned, nullptr);
+        Result<TablePtr> expected = runner.RunQuery(built.value());
+        ASSERT_TRUE(expected.ok()) << expected.status();
+        Result<TablePtr> actual = runner.RunQuery(planned);
+        ASSERT_TRUE(actual.ok()) << actual.status();
+        if (expected.value()->num_rows() > 0) ++non_empty;
+        EXPECT_TRUE(TablesEqual(*expected.value(), *actual.value()));
+      }
+      // At this scale only the two most selective queries (Q3.3, Q3.4)
+      // come back empty.
+      EXPECT_GE(non_empty, 11);
+    }
+  }
+}
+
+TEST_F(SqlEndToEndTest, SsbSqlPlansProbeWithLineorder) {
+  FusionScope scope(true);
+  EngineContext ctx(TestConfig(), db_);
+  StrategyRunner runner(&ctx, Strategy::kDataDrivenChopping);
+  for (const NamedQuery& query : SsbQueries()) {
+    SCOPED_TRACE(query.name);
+    PlanNodePtr plan = PlanSsbSql(query.name, *db_);
+    ASSERT_NE(plan, nullptr);
+    // Hash tables are built on dimensions only.
+    VisitPlanPostOrder(plan, [&](const PlanNodePtr& node) {
+      if (node->op() == PlanOp::kJoin) {
+        EXPECT_FALSE(ScansTable(node->children()[0], "lineorder"))
+            << node->label();
+      }
+    });
+    // The one multi-join pipeline streams lineorder from its source child.
+    int join_pipelines = 0;
+    VisitPlanPostOrder(runner.PreparePlan(plan), [&](const PlanNodePtr& node) {
+      if (node->op() != PlanOp::kFusedPipeline ||
+          static_cast<const FusedPipelineNode&>(*node).num_joins() == 0) {
+        return;
+      }
+      ++join_pipelines;
+      EXPECT_TRUE(ScansTable(node->children()[0], "lineorder"))
+          << node->label();
+    });
+    EXPECT_EQ(join_pipelines, 1);
+  }
+}
+
+TEST(SqlPlacementTest, StarJoinPipelineRunsOnTheDevice) {
+  SsbGeneratorOptions options;
+  options.scale_factor = 1.0;  // 60,000 lineorder rows
+  DatabasePtr db = GenerateSsbDatabase(options);
+  FusionScope scope(true);
+
+  // Size the device from the bytes Q2.1 reads: all of its columns fit the
+  // cache, and the heap holds its lineorder columns once but not twice, so
+  // only a plan whose hash tables are built on the dimensions fits.
+  PlanNodePtr warm_up = PlanSsbSql("Q2.1", *db);
+  ASSERT_NE(warm_up, nullptr);
+  size_t fact_bytes = 0;
+  size_t dim_bytes = 0;
+  VisitPlanPostOrder(warm_up, [&](const PlanNodePtr& node) {
+    if (node->op() != PlanOp::kScan) return;
+    const auto& scan = static_cast<const ScanNode&>(*node);
+    for (const auto& [key, column] : scan.base_columns()) {
+      (scan.table()->name() == "lineorder" ? fact_bytes : dim_bytes) +=
+          column->data_bytes();
+    }
+  });
+  SystemConfig config = TestConfig();
+  config.device_cache_bytes = 2 * (fact_bytes + dim_bytes);
+  const size_t heap_bytes = fact_bytes + 4 * dim_bytes;
+  ASSERT_LT(heap_bytes, 2 * fact_bytes);
+  config.device_memory_bytes = config.device_cache_bytes + heap_bytes;
+
+  EngineContext ctx(config, db);
+  StrategyRunner runner(&ctx, Strategy::kDataDrivenChopping);
+  ASSERT_TRUE(runner.RunQuery(warm_up).ok());
+  runner.RefreshDataPlacement();
+  auto stats = std::make_shared<QueryStats>();
+  ASSERT_TRUE(runner.RunQuery(PlanSsbSql("Q2.1", *db), stats).ok());
+  int join_pipelines = 0;
+  for (const auto& node : stats->nodes()) {
+    if (node->op != "fused_pipeline" ||
+        node->label.find("join(") == std::string::npos) {
+      continue;
+    }
+    ++join_pipelines;
+    EXPECT_EQ(node->ran_on.load(), 1) << node->label;  // GPU
+  }
+  EXPECT_EQ(join_pipelines, 1);
 }
 
 }  // namespace
