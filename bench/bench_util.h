@@ -57,6 +57,8 @@ inline void EnableTraceExportAtExit(const std::string& path) {
 ///                    parallel-user benches (0 = closed loop, the default)
 ///   --fusion=on|off  enable/disable operator fusion (DESIGN.md §11) for the
 ///                    whole process — the fusion-ablation runs flip this
+///   --json FILE      write the bench's machine-readable artifact (benches
+///                    that produce one; see WriteJsonArtifact)
 struct BenchArgs {
   bool quick = false;
   bool full = false;
@@ -66,6 +68,7 @@ struct BenchArgs {
   uint64_t seed = 0;
   double think_time_ms = 0;
   std::string trace_out;
+  std::string json_out;
 
   static BenchArgs Parse(int argc, char** argv) {
     BenchArgs args;
@@ -89,6 +92,9 @@ struct BenchArgs {
       } else if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
         args.trace_out = argv[++i];
       }
+      if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
+        args.json_out = argv[++i];
+      }
       if (std::strcmp(argv[i], "--fusion=off") == 0) args.fusion = false;
       if (std::strcmp(argv[i], "--fusion=on") == 0) args.fusion = true;
     }
@@ -111,6 +117,36 @@ struct BenchArgs {
     options.think_time_ms = think_time_ms;
   }
 };
+
+/// The JSON fields of one workload point shared by the bench artifacts
+/// (fig14_scale_ssb, fig18_scaleout): `"wall_millis": ..., ...`, without
+/// braces, so a bench can append its own fields.
+inline std::string RunResultJsonFields(const WorkloadRunResult& result) {
+  return "\"wall_millis\": " + std::to_string(result.wall_millis) +
+         ", \"gpu_aborts\": " + std::to_string(result.gpu_aborts) +
+         ", \"failed_queries\": " + std::to_string(result.failed_queries) +
+         ", \"queries_run\": " + std::to_string(result.queries_run) +
+         ", \"gpu_operators\": " + std::to_string(result.gpu_operators) +
+         ", \"cpu_operators\": " + std::to_string(result.cpu_operators) +
+         ", \"h2d_bytes\": " + std::to_string(result.h2d_bytes);
+}
+
+/// Writes a bench's JSON artifact to `path` (the --json flag; nothing when
+/// empty). Returns false, after reporting on stderr, if the file cannot be
+/// written; benches then exit non-zero.
+inline bool WriteJsonArtifact(const std::string& path,
+                              const std::string& json) {
+  if (path.empty()) return true;
+  FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
+    return false;
+  }
+  std::fwrite(json.data(), 1, json.size(), f);
+  std::fclose(f);
+  std::printf("# JSON artifact written to %s\n", path.c_str());
+  return true;
+}
 
 /// The simulated machine of the paper's evaluation (Section 6.1), at the
 /// 1/100 data scale of DESIGN.md: the 4 GB GTX 770 becomes a 40 MB device

@@ -3,6 +3,12 @@
 // 6.2. Expected shape: GPU-Only falls behind once the working set exceeds
 // the device cache (~SF 15 at the 24 MiB cache); Data-Driven Chopping is
 // never worse than CPU-Only and fastest overall.
+//
+//   ./build/bench/fig14_scale_ssb --quick                  # SF 2, 5
+//   ./build/bench/fig14_scale_ssb --quick --json out.json  # machine-readable
+//
+// scripts/check_bench.py out.json --dd-vs-cpu checks the paper's claim on
+// the JSON artifact.
 
 #include "bench/bench_util.h"
 
@@ -30,6 +36,8 @@ int main(int argc, char** argv) {
   }
   PrintHeader(header);
 
+  std::string json = "{\n  \"bench\": \"fig14_scale_ssb\",\n  \"points\": [\n";
+  bool first_point = true;
   for (double sf : scale_factors) {
     SsbGeneratorOptions gen;
     args.ApplySeed(gen);
@@ -45,8 +53,15 @@ int main(int argc, char** argv) {
           RunPoint(PaperConfig(args.time_scale), db, strategy, SsbQueries(),
                    options);
       PrintCell(result.wall_millis);
+
+      if (!first_point) json += ",\n";
+      first_point = false;
+      json += "    {\"sf\": " + std::to_string(sf) + ", \"strategy\": \"" +
+              StrategyToString(strategy) +
+              "\", \"result\": {" + RunResultJsonFields(result) + "}}";
     }
     EndRow();
   }
-  return 0;
+  json += "\n  ]\n}\n";
+  return WriteJsonArtifact(args.json_out, json) ? 0 : 1;
 }

@@ -36,13 +36,9 @@ std::vector<int> ParseDeviceList(const std::string& spec) {
 
 int main(int argc, char** argv) {
   const BenchArgs args = BenchArgs::Parse(argc, argv);
-  std::string json_out;
   std::vector<int> devices = args.quick ? std::vector<int>{1, 2}
                                         : std::vector<int>{1, 2, 4, 8};
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_out = argv[++i];
-    }
     if (std::strcmp(argv[i], "--devices") == 0 && i + 1 < argc) {
       const std::vector<int> parsed = ParseDeviceList(argv[++i]);
       if (!parsed.empty()) devices = parsed;
@@ -104,27 +100,9 @@ int main(int argc, char** argv) {
     first_point = false;
     json += "    {\"devices\": " + std::to_string(device_count) +
             ", \"users\": " + std::to_string(users) +
-            ", \"result\": {\"wall_millis\": " +
-            std::to_string(result.wall_millis) +
-            ", \"speedup\": " + std::to_string(speedup) +
-            ", \"gpu_aborts\": " + std::to_string(result.gpu_aborts) +
-            ", \"failed_queries\": " + std::to_string(result.failed_queries) +
-            ", \"queries_run\": " + std::to_string(result.queries_run) +
-            ", \"gpu_operators\": " + std::to_string(result.gpu_operators) +
-            ", \"cpu_operators\": " + std::to_string(result.cpu_operators) +
-            ", \"h2d_bytes\": " + std::to_string(result.h2d_bytes) + "}}";
+            ", \"result\": {" + RunResultJsonFields(result) +
+            ", \"speedup\": " + std::to_string(speedup) + "}}";
   }
   json += "\n  ]\n}\n";
-
-  if (!json_out.empty()) {
-    FILE* f = std::fopen(json_out.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "error: cannot write %s\n", json_out.c_str());
-      return 1;
-    }
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::printf("# JSON artifact written to %s\n", json_out.c_str());
-  }
-  return 0;
+  return WriteJsonArtifact(args.json_out, json) ? 0 : 1;
 }

@@ -44,7 +44,6 @@ struct AvailArgs {
   int sessions = 16;
   double think_time_ms = 50.0;
   double deadline_ms = 1000.0;
-  std::string json_out;
 };
 
 AvailArgs ParseAvailArgs(int argc, char** argv) {
@@ -59,7 +58,6 @@ AvailArgs ParseAvailArgs(int argc, char** argv) {
     if (arg == "--deadline-ms" && i + 1 < argc) {
       args.deadline_ms = std::atof(argv[++i]);
     }
-    if (arg == "--json" && i + 1 < argc) args.json_out = argv[++i];
   }
   if (args.base.quick) {
     args.phase_s = std::min(args.phase_s, 2.0);
@@ -286,16 +284,5 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(server.hedge_successes()));
   json += summary;
   json += "  }\n}\n";
-
-  if (!args.json_out.empty()) {
-    FILE* f = std::fopen(args.json_out.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "error: cannot write %s\n", args.json_out.c_str());
-      return 1;
-    }
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    std::printf("# wrote %s\n", args.json_out.c_str());
-  }
-  return 0;
+  return WriteJsonArtifact(args.base.json_out, json) ? 0 : 1;
 }

@@ -40,7 +40,6 @@ struct ServeArgs {
   int sessions = 8;            // per tenant (closed loop)
   bool tpch = false;
   bool split_mix = false;
-  std::string json_out;
   std::vector<double> load_multipliers = {0.25, 1.0, 4.0};
 };
 
@@ -58,7 +57,6 @@ ServeArgs ParseServeArgs(int argc, char** argv) {
     if (arg == "--sessions" && i + 1 < argc) args.sessions = std::atoi(argv[++i]);
     if (arg == "--tpch") args.tpch = true;
     if (arg == "--split-mix") args.split_mix = true;
-    if (arg == "--json" && i + 1 < argc) args.json_out = argv[++i];
   }
   if (args.base.quick) {
     args.duration_s = std::min(args.duration_s, 3.0);
@@ -195,16 +193,5 @@ int main(int argc, char** argv) {
             ", \"result\": " + result.ToJson() + "    }";
   }
   json += "\n  ]\n}\n";
-
-  if (!args.json_out.empty()) {
-    FILE* f = std::fopen(args.json_out.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "error: cannot write %s\n", args.json_out.c_str());
-      return 1;
-    }
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    std::printf("# wrote %s\n", args.json_out.c_str());
-  }
-  return 0;
+  return WriteJsonArtifact(args.base.json_out, json) ? 0 : 1;
 }

@@ -246,6 +246,27 @@ int main(int argc, char** argv) {
       for (const std::string& key : ctx.cache().CachedKeys()) {
         std::printf("    %s\n", key.c_str());
       }
+      // A scan runs on the device only if its whole column set is cached:
+      // each set's missing columns say why its scans run on the CPU.
+      const AccessCoverage coverage = ctx.ScanSetCoverage();
+      std::printf("  scan sets (executions, columns): access coverage %.3f "
+                  "(%llu of %llu scans read a resident set)\n",
+                  coverage.Share(),
+                  static_cast<unsigned long long>(coverage.covered),
+                  static_cast<unsigned long long>(coverage.total));
+      for (const ScanSetCount& set : ctx.scan_sets().Snapshot()) {
+        std::string columns;
+        std::string missing;
+        for (const std::string& key : set.keys) {
+          columns += (columns.empty() ? "" : ", ") + key;
+          if (!ctx.IsCachedOnAnyDevice(key)) missing += " " + key;
+        }
+        std::printf("    %llux %s  %s\n",
+                    static_cast<unsigned long long>(set.executions),
+                    columns.c_str(),
+                    missing.empty() ? "[resident]"
+                                    : ("[missing:" + missing + "]").c_str());
+      }
       continue;
     }
     if (line == "\\devices") {

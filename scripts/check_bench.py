@@ -44,6 +44,15 @@ Usage:
   scripts/check_bench.py fig26.json --availability
                          [--goodput-floor 0.1] [--recovery-ceiling 20.0]
 
+With --dd-vs-cpu the candidate is a fig14_scale_ssb JSON artifact and the
+gate checks the paper's Figure 14 claim: at every scale factor Data-Driven
+Chopping runs the SSB workload in at most 1.1 times the CPU-Only time (the
+data-driven placer only uses the device where inputs are cached, so it is
+never much worse than staying on the CPU), and no query fails.
+
+Usage:
+  scripts/check_bench.py fig14.json --dd-vs-cpu
+
 Exit code 0 = within tolerance, 1 = regression, 2 = malformed input.
 """
 
@@ -55,6 +64,9 @@ import sys
 FAMILIES = ["Filter", "HashJoin", "Aggregate"]
 PARALLEL_DOP = 8
 FUSION_DOP = 8
+# The paper's Figure 14 claim: Data-Driven Chopping is never (much) slower
+# than CPU-Only, at any scale factor.
+FIG14_DD_VS_CPU_MAX_RATIO = 1.1
 
 
 def load_medians(path):
@@ -283,6 +295,59 @@ def check_availability(path, goodput_floor, recovery_ceiling):
     return 0
 
 
+def check_dd_vs_cpu(path):
+    """Gate on a fig14_scale_ssb artifact: DD-Chopping <= 1.1x CPU-Only."""
+    try:
+        with open(path) as fp:
+            doc = json.load(fp)
+    except (OSError, json.JSONDecodeError) as error:
+        print(f"error: cannot read {path}: {error}", file=sys.stderr)
+        return 2
+    by_sf = {}
+    for point in doc.get("points", []):
+        result = point.get("result", {})
+        if "sf" not in point or "wall_millis" not in result:
+            print(f"error: {path}: point without sf/wall_millis",
+                  file=sys.stderr)
+            return 2
+        by_sf.setdefault(point["sf"], {})[point.get("strategy")] = result
+    if not by_sf:
+        print(f"error: {path} holds no sweep points", file=sys.stderr)
+        return 2
+
+    failures = []
+    print(f"{'sf':<6}{'cpu_ms':>10}{'dd_ms':>10}{'ratio':>8}")
+    for sf in sorted(by_sf):
+        results = by_sf[sf]
+        for strategy, result in results.items():
+            if result.get("failed_queries", 0) != 0:
+                failures.append(f"SF {sf:g} {strategy}: "
+                                f"{result['failed_queries']} failed queries")
+        cpu = results.get("CPU Only")
+        dd = results.get("Data-Driven Chopping")
+        if cpu is None or dd is None:
+            failures.append(f"SF {sf:g}: needs CPU Only and "
+                            f"Data-Driven Chopping points")
+            continue
+        ratio = (dd["wall_millis"] / cpu["wall_millis"]
+                 if cpu["wall_millis"] > 0 else float("inf"))
+        print(f"{sf:<6g}{cpu['wall_millis']:>10.1f}{dd['wall_millis']:>10.1f}"
+              f"{ratio:>8.2f}")
+        if ratio > FIG14_DD_VS_CPU_MAX_RATIO:
+            failures.append(f"SF {sf:g}: Data-Driven Chopping takes "
+                            f"{ratio:.2f}x CPU-Only, above "
+                            f"{FIG14_DD_VS_CPU_MAX_RATIO:.2f}x")
+
+    if failures:
+        print("\nREGRESSION:", file=sys.stderr)
+        for failure in failures:
+            print(f"  {failure}", file=sys.stderr)
+        return 1
+    print(f"OK: Data-Driven Chopping <= {FIG14_DD_VS_CPU_MAX_RATIO:.2f}x "
+          f"CPU-Only at every SF")
+    return 0
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("candidate", help="fresh benchmark JSON to check")
@@ -298,6 +363,8 @@ def main():
     parser.add_argument("--availability", action="store_true",
                         help="treat candidate as a fig26_availability "
                              "artifact")
+    parser.add_argument("--dd-vs-cpu", action="store_true",
+                        help="treat candidate as a fig14_scale_ssb artifact")
     parser.add_argument("--goodput-floor", type=float, default=0.1,
                         help="device-loss goodput floor as a fraction of "
                              "baseline goodput for --availability "
@@ -322,6 +389,8 @@ def main():
         return check_serve_slo(args.candidate, args.shed_tolerance)
     if args.scaleout:
         return check_scaleout(args.candidate, args.min_speedup)
+    if args.dd_vs_cpu:
+        return check_dd_vs_cpu(args.candidate)
     if args.availability:
         return check_availability(args.candidate, args.goodput_floor,
                                   args.recovery_ceiling)

@@ -7,6 +7,87 @@
 
 namespace hetdb {
 
+namespace {
+
+/// One recorded scan set, as indices into the placement job's columns.
+struct SetCandidate {
+  std::vector<size_t> columns;
+  uint64_t executions = 0;
+};
+
+/// A growing selection of columns and the scan executions it covers.
+struct Cover {
+  std::vector<char> chosen;     // per column
+  std::vector<char> covered;    // per candidate set
+  size_t bytes = 0;
+  uint64_t executions = 0;
+};
+
+/// Adds `set`'s missing columns to `cover` and credits every set the
+/// enlarged selection completes.
+void AddSet(const SetCandidate& set, const std::vector<SetCandidate>& sets,
+            const std::vector<size_t>& column_bytes, Cover* cover) {
+  for (size_t c : set.columns) {
+    if (!cover->chosen[c]) {
+      cover->chosen[c] = 1;
+      cover->bytes += column_bytes[c];
+    }
+  }
+  for (size_t s = 0; s < sets.size(); ++s) {
+    if (cover->covered[s]) continue;
+    if (std::all_of(sets[s].columns.begin(), sets[s].columns.end(),
+                    [&](size_t c) { return cover->chosen[c] != 0; })) {
+      cover->covered[s] = 1;
+      cover->executions += sets[s].executions;
+    }
+  }
+}
+
+/// Budgeted maximum coverage: the columns whose union of whole scan sets
+/// covers the most scan executions within `budget`. Greedy by executions
+/// per marginal byte, restarted once from every set as the seed; the best
+/// selection wins. Greedy alone can trade three mid-frequency sets that fit
+/// together for one more frequent set that fits with none of them. Every
+/// tie goes to the set earlier in `sets` (key order), so unchanged counts
+/// give an unchanged cache. Returns a per-column mask.
+std::vector<char> ChooseScanSets(const std::vector<SetCandidate>& sets,
+                                 const std::vector<size_t>& column_bytes,
+                                 size_t budget) {
+  Cover best;
+  best.chosen.assign(column_bytes.size(), 0);
+  for (size_t seed = 0; seed < sets.size(); ++seed) {
+    Cover cover;
+    cover.chosen.assign(column_bytes.size(), 0);
+    cover.covered.assign(sets.size(), 0);
+    AddSet(sets[seed], sets, column_bytes, &cover);
+    if (cover.bytes > budget) continue;
+    for (;;) {
+      size_t next = sets.size();
+      double next_ratio = 0;
+      for (size_t s = 0; s < sets.size(); ++s) {
+        if (cover.covered[s]) continue;
+        size_t marginal = 0;
+        for (size_t c : sets[s].columns) {
+          if (!cover.chosen[c]) marginal += column_bytes[c];
+        }
+        if (cover.bytes + marginal > budget) continue;
+        const double ratio = static_cast<double>(sets[s].executions) /
+                             static_cast<double>(std::max<size_t>(marginal, 1));
+        if (next == sets.size() || ratio > next_ratio) {
+          next = s;
+          next_ratio = ratio;
+        }
+      }
+      if (next == sets.size()) break;
+      AddSet(sets[next], sets, column_bytes, &cover);
+    }
+    if (cover.executions > best.executions) best = std::move(cover);
+  }
+  return best.chosen;
+}
+
+}  // namespace
+
 const char* EvictionPolicyToString(EvictionPolicy policy) {
   switch (policy) {
     case EvictionPolicy::kLru:
@@ -243,38 +324,75 @@ void DataCache::RemoveEntry(
 }
 
 void DataCache::RunPlacementJob(
-    const std::vector<std::pair<std::string, ColumnPtr>>& columns) {
+    const std::vector<std::pair<std::string, ColumnPtr>>& columns,
+    const std::vector<ScanSetCount>& scan_sets) {
   TraceSpan job_span;
   if (TraceRecorder::enabled()) {
     job_span.Begin("placement job", "cache");
     job_span.AddArg("candidates", static_cast<int64_t>(columns.size()));
   }
-  // Algorithm 1: K = columns sorted by access statistics descending (LFU:
-  // frequency; LRU: recency — compared in Appendix E); fill the budget
-  // greedily; evict cached \ selected; cache selected \ cached.
-  std::vector<std::pair<std::string, ColumnPtr>> sorted = columns;
-  if (policy_ == EvictionPolicy::kLfu) {
-    std::stable_sort(sorted.begin(), sorted.end(),
-                     [](const auto& a, const auto& b) {
-                       return a.second->access_count() >
-                              b.second->access_count();
-                     });
-  } else {
-    std::stable_sort(sorted.begin(), sorted.end(),
-                     [](const auto& a, const auto& b) {
-                       return a.second->last_access_seq() >
-                              b.second->last_access_seq();
-                     });
+  std::vector<size_t> column_bytes;
+  column_bytes.reserve(columns.size());
+  for (const auto& [key, column] : columns) {
+    column_bytes.push_back(EntryBytes(*column));
   }
 
+  // Working-set step: candidates are the recorded sets lying entirely in
+  // this cache's columns (a set split across device shards can never be
+  // whole on one device). LRU, the Appendix E baseline, skips it.
+  std::unordered_map<std::string, size_t> index;
+  for (size_t i = 0; i < columns.size(); ++i) index[columns[i].first] = i;
+  std::vector<SetCandidate> candidates;
+  for (const ScanSetCount& set : scan_sets) {
+    SetCandidate candidate;
+    candidate.executions = set.executions;
+    for (const std::string& key : set.keys) {
+      auto it = index.find(key);
+      if (it == index.end()) break;
+      candidate.columns.push_back(it->second);
+    }
+    if (candidate.executions > 0 &&
+        candidate.columns.size() == set.keys.size()) {
+      candidates.push_back(std::move(candidate));
+    }
+  }
+  std::vector<char> chosen =
+      policy_ == EvictionPolicy::kLfu
+          ? ChooseScanSets(candidates, column_bytes, capacity_bytes_)
+          : std::vector<char>(columns.size(), 0);
+
+  // Algorithm 1 fills the rest: K = columns sorted by access statistics
+  // descending (LFU: frequency; LRU: recency — compared in Appendix E);
+  // fill the budget greedily; evict cached \ selected; load the rest.
+  // Selection order is load order: chosen sets first, each part by rank, so
+  // the hottest columns land first.
+  std::vector<size_t> order(columns.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  if (policy_ == EvictionPolicy::kLfu) {
+    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+      return columns[a].second->access_count() >
+             columns[b].second->access_count();
+    });
+  } else {
+    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+      return columns[a].second->last_access_seq() >
+             columns[b].second->last_access_seq();
+    });
+  }
   std::vector<std::pair<std::string, ColumnPtr>> selected;
   size_t budget_used = 0;
-  for (const auto& [key, column] : sorted) {
-    if (column->access_count() == 0) continue;  // never used by any query
-    const size_t bytes = EntryBytes(*column);
-    if (budget_used + bytes > capacity_bytes_) continue;
-    budget_used += bytes;
-    selected.emplace_back(key, column);
+  for (size_t i : order) {
+    if (!chosen[i]) continue;
+    budget_used += column_bytes[i];
+    selected.push_back(columns[i]);
+  }
+  for (size_t i : order) {
+    if (chosen[i]) continue;
+    if (columns[i].second->access_count() == 0) continue;  // never used
+    if (budget_used + column_bytes[i] > capacity_bytes_) continue;
+    budget_used += column_bytes[i];
+    chosen[i] = 1;
+    selected.push_back(columns[i]);
   }
 
   std::vector<std::pair<std::string, ColumnPtr>> to_load;
@@ -329,6 +447,8 @@ void DataCache::RunPlacementJob(
     }
   }
   if (job_span.active()) {
+    job_span.AddArg("sets_considered",
+                    static_cast<int64_t>(candidates.size()));
     job_span.AddArg("selected", static_cast<int64_t>(selected.size()));
     job_span.AddArg("loaded", static_cast<int64_t>(to_load.size()));
   }

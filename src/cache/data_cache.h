@@ -25,6 +25,15 @@ enum class EvictionPolicy { kLru, kLfu };
 
 const char* EvictionPolicyToString(EvictionPolicy policy);
 
+/// The input columns of one scan operator and how many scan executions read
+/// exactly that set. The data-driven placer runs an operator on the device
+/// only if *all* its inputs are cached, so a set is the unit of cache value:
+/// a column that completes no set saves no query a transfer.
+struct ScanSetCount {
+  std::vector<std::string> keys;  ///< qualified column keys, sorted
+  uint64_t executions = 0;
+};
+
 /// Statistics exposed by the cache (reset per workload run).
 struct DataCacheStats {
   uint64_t hits = 0;
@@ -48,8 +57,9 @@ struct DataCacheStats {
 ///    exceeds the cache this thrashes (Figure 2).
 ///  * **Data-driven** (Section 3): only the background placement job
 ///    (`RunPlacementJob`, the paper's Algorithm 1) changes cache content,
-///    pinning the most frequently accessed columns; the query processor
-///    merely checks `IsCached` and places operators accordingly.
+///    pinning the scan column sets that cover the most scan executions and
+///    then the most frequently accessed columns; the query processor merely
+///    checks `IsCached` and places operators accordingly.
 ///
 /// Leases implement the paper's reference counters: a column cannot be
 /// dropped while an operator reads it; evictions of leased entries are
@@ -118,12 +128,19 @@ class DataCache {
   /// operator's lifetime — this is the cache-thrashing path.
   Access RequireOnDevice(const ColumnPtr& column, const std::string& key);
 
-  /// The paper's Algorithm 1: given all candidate columns, selects the most
-  /// frequently accessed prefix that fits the budget, evicts cached columns
-  /// that fell out of the set, and transfers newly selected ones. Entries
-  /// cached by the job are pinned against demand eviction.
+  /// The paper's Algorithm 1, working-set aware: given all candidate
+  /// columns and the recorded scan column sets, first selects whole sets —
+  /// those lying entirely within `columns` — that maximize the scan
+  /// executions whose whole set is cached (budgeted maximum coverage:
+  /// greedy by executions per marginal byte, restarted from every set as
+  /// seed, ties by key order). Then it fills the remaining budget with the
+  /// most frequently accessed columns. It evicts cached columns that fell
+  /// out of the selection and transfers newly selected ones. Entries cached
+  /// by the job are pinned against demand eviction. Under LRU (Appendix E)
+  /// the set step is skipped: columns are ranked by recency alone.
   void RunPlacementJob(
-      const std::vector<std::pair<std::string, ColumnPtr>>& columns);
+      const std::vector<std::pair<std::string, ColumnPtr>>& columns,
+      const std::vector<ScanSetCount>& scan_sets);
 
   /// Pins/unpins an entry manually (e.g. warm-up in benchmarks).
   Status Pin(const ColumnPtr& column, const std::string& key);

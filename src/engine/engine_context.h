@@ -9,6 +9,7 @@
 
 #include "cache/data_cache.h"
 #include "common/config.h"
+#include "engine/scan_sets.h"
 #include "fault/brownout.h"
 #include "fault/circuit_breaker.h"
 #include "fault/watchdog.h"
@@ -127,6 +128,8 @@ class EngineContext {
   BrownoutController& brownout() { return *brownout_; }
   /// Stuck-query backstop: progress-stall / deadline-multiple killer.
   StuckQueryWatchdog& watchdog() { return *watchdog_; }
+  /// Scan column sets this engine executed, for the placement job.
+  ScanSetCounts& scan_sets() { return scan_sets_; }
   const DatabasePtr& database() const { return database_; }
   const SystemConfig& config() const { return simulator_->config(); }
 
@@ -149,6 +152,29 @@ class EngineContext {
       if (cache->IsCached(key)) return true;
     }
     return false;
+  }
+
+  /// Whether a scan over `keys` passes the data-driven placer's rule: every
+  /// column cached on some device.
+  bool IsScanSetCached(const std::vector<std::string>& keys) const {
+    return std::all_of(keys.begin(), keys.end(), [this](const std::string& k) {
+      return IsCachedOnAnyDevice(k);
+    });
+  }
+
+  /// The recorded scan executions whose whole set is cached now: the share
+  /// of scans the data-driven placer can send to a device.
+  AccessCoverage ScanSetCoverage() const {
+    AccessCoverage coverage;
+    for (const ScanSetCount& set : scan_sets_.Snapshot()) {
+      ++coverage.sets;
+      coverage.total += set.executions;
+      if (IsScanSetCached(set.keys)) {
+        ++coverage.sets_resident;
+        coverage.covered += set.executions;
+      }
+    }
+    return coverage;
   }
 
   /// Feeds each device's thrashing detector — and the brownout controller —
@@ -211,7 +237,7 @@ class EngineContext {
   }
 
   /// Clears all per-run statistics (buses, allocators, caches, metrics)
-  /// while keeping cache contents and learned cost models.
+  /// while keeping cache contents, scan set counts, and learned cost models.
   void ResetRunStats() {
     for (int d = 0; d < device_count(); ++d) {
       simulator_->bus(d).ResetStats();
@@ -239,6 +265,7 @@ class EngineContext {
   /// flight_recorder_ (metrics and dumps on transitions).
   std::unique_ptr<BrownoutController> brownout_;
   std::unique_ptr<StuckQueryWatchdog> watchdog_;  // joins its thread first
+  ScanSetCounts scan_sets_;
   DatabasePtr database_;
 };
 

@@ -250,6 +250,11 @@ Result<OperatorResult> ExecuteOperator(const PlanNode& node,
 Result<ExecutedOperator> ExecuteWithFallback(
     const PlanNode& node, const std::vector<OperatorResult*>& inputs,
     ProcessorKind processor, EngineContext& ctx, int device) {
+  // Placement state for the cache's working-set step: one count per scan
+  // execution, however many device attempts it takes.
+  if (node.op() == PlanOp::kScan) {
+    ctx.scan_sets().Record(static_cast<const ScanNode&>(node));
+  }
   bool aborted = false;
   NodeStats* node_stats = QueryStatsScope::current_node();
   if (node_stats != nullptr) {

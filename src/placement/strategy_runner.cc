@@ -1,10 +1,13 @@
 #include "placement/strategy_runner.h"
 
+#include <cstdio>
+
 #include "common/config.h"
 #include "common/logging.h"
 #include "engine/pipeline_builder.h"
 #include "placement/compile_time.h"
 #include "placement/runtime.h"
+#include "telemetry/trace_recorder.h"
 
 namespace hetdb {
 
@@ -142,9 +145,22 @@ void StrategyRunner::RefreshDataPlacement() {
       shards[static_cast<size_t>(home)].emplace_back(std::move(key), column);
     }
   }
+  // Every job sees every recorded scan set; a set only counts on the device
+  // whose shard holds all of its columns.
+  TraceSpan refresh_span("placement refresh", "cache");
+  const std::vector<ScanSetCount> scan_sets = ctx_->scan_sets().Snapshot();
   for (int d = 0; d < ctx_->device_count(); ++d) {
     if (!ctx_->sharding().IsLive(d)) continue;
-    ctx_->cache(d).RunPlacementJob(shards[static_cast<size_t>(d)]);
+    ctx_->cache(d).RunPlacementJob(shards[static_cast<size_t>(d)], scan_sets);
+  }
+  if (refresh_span.active()) {
+    const AccessCoverage coverage = ctx_->ScanSetCoverage();
+    char share[16];
+    std::snprintf(share, sizeof(share), "%.3f", coverage.Share());
+    refresh_span.AddArg("sets_recorded", static_cast<int64_t>(coverage.sets));
+    refresh_span.AddArg("sets_resident",
+                        static_cast<int64_t>(coverage.sets_resident));
+    refresh_span.AddArg("access_coverage", share);
   }
 }
 

@@ -52,7 +52,8 @@ class StrategyRunner {
   EngineContext& ctx() { return *ctx_; }
 
   /// Runs the Algorithm-1 data placement job over all base columns of the
-  /// context's database. Call after warm-up (or periodically) for the
+  /// context's database and the scan column sets the context recorded,
+  /// sharded by column affinity. Call after warm-up (or periodically) for the
   /// data-driven strategies; a no-op for operator-driven ones is harmless.
   void RefreshDataPlacement();
 

@@ -263,18 +263,6 @@ TEST_F(SqlEndToEndTest, SameTableColumnEqualityIsResidualFilter) {
 
 // --- SSB: SQL plans against the hand-built plans ----------------------------
 
-/// Sets the plan-fusion knob for one scope.
-class FusionScope {
- public:
-  explicit FusionScope(bool fusion) : saved_(GlobalKernelConfig().fusion) {
-    GlobalKernelConfig().fusion = fusion;
-  }
-  ~FusionScope() { GlobalKernelConfig().fusion = saved_; }
-
- private:
-  bool saved_;
-};
-
 PlanNodePtr PlanSsbSql(const std::string& name, const Database& db) {
   Result<std::string> sql = SsbQuerySql(name);
   EXPECT_TRUE(sql.ok()) << name << ": " << sql.status();

@@ -133,6 +133,21 @@ inline int FusedNodesRan(const QueryStats& stats) {
   return ran;
 }
 
+/// Sets the plan-fusion knob for one scope.
+class FusionScope {
+ public:
+  explicit FusionScope(bool fusion) : saved_(GlobalKernelConfig().fusion) {
+    GlobalKernelConfig().fusion = fusion;
+  }
+  ~FusionScope() { GlobalKernelConfig().fusion = saved_; }
+
+  FusionScope(const FusionScope&) = delete;
+  FusionScope& operator=(const FusionScope&) = delete;
+
+ private:
+  bool saved_;
+};
+
 /// Engine configuration for unit tests: no sleeps, roomy device.
 inline SystemConfig TestConfig() {
   SystemConfig config;
