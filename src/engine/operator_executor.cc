@@ -1,5 +1,6 @@
 #include "engine/operator_executor.h"
 
+#include <cmath>
 #include <string>
 #include <utility>
 
@@ -11,14 +12,50 @@ namespace hetdb {
 
 namespace {
 
-/// Attributes modeled kernel time to the node the calling thread is
-/// executing (no-op outside a QueryStatsScope).
-void AttributeKernelMicros(ProcessorKind processor, double micros) {
+/// Attributes one kernel window's modeled and host time to the node the
+/// calling thread is executing (no-op outside a QueryStatsScope).
+void AttributeKernelWindow(ProcessorKind processor,
+                           const Simulator::KernelWindow& window) {
   NodeStats* stats = QueryStatsScope::current_node();
   if (stats == nullptr) return;
   auto& counter = processor == ProcessorKind::kGpu ? stats->gpu_kernel_micros
                                                    : stats->cpu_kernel_micros;
-  counter.fetch_add(static_cast<int64_t>(micros), std::memory_order_relaxed);
+  counter.fetch_add(static_cast<int64_t>(window.modeled_micros),
+                    std::memory_order_relaxed);
+  // Rounded up: a kernel that ran never reports zero host time.
+  stats->host_kernel_micros.fetch_add(
+      static_cast<int64_t>(std::ceil(window.host_micros)),
+      std::memory_order_relaxed);
+}
+
+/// Runs `node`'s real kernel inside its modeled window on `processor`
+/// (device `device` when kGpu), attributes the window to the node, and
+/// feeds HyPE the measured duration. `latency_factor` > 1 models a
+/// throttled device kernel.
+Result<TablePtr> RunNodeKernel(const PlanNode& node,
+                               const std::vector<TablePtr>& input_tables,
+                               ProcessorKind processor, EngineContext& ctx,
+                               int device, double latency_factor = 1.0) {
+  const size_t input_bytes = node.InputBytes(input_tables);
+  TablePtr output;
+  Stopwatch kernel_watch;
+  HETDB_ASSIGN_OR_RETURN(
+      const Simulator::KernelWindow window,
+      ctx.simulator().RunKernel(
+          processor, node.op_class(), input_bytes, device,
+          [&]() -> Status {
+            HETDB_ASSIGN_OR_RETURN(output, node.ComputeResult(input_tables));
+            return Status::OK();
+          },
+          latency_factor));
+  AttributeKernelWindow(processor, window);
+  // HyPE learns from *measured* durations (normalized back to modeled
+  // units), so the model captures slot contention and queueing that the
+  // analytical bootstrap cannot know about.
+  ctx.cost_model().Observe(
+      processor, node.op_class(), input_bytes,
+      kernel_watch.ElapsedMicros() / ctx.config().time_scale);
+  return output;
 }
 
 /// Stamps node-level outcome fields after a successful execution.
@@ -43,8 +80,8 @@ void AttributeOutcome(const std::vector<OperatorResult*>& inputs,
   }
 }
 
-/// CPU execution: marshal device-resident inputs back to the host, run the
-/// kernel, charge modeled CPU time (occupying a CPU slot).
+/// CPU execution: marshal device-resident inputs back to the host, then run
+/// the kernel inside its modeled CPU window (occupying CPU slots).
 Result<OperatorResult> ExecuteOnCpu(const PlanNode& node,
                                     const std::vector<OperatorResult*>& inputs,
                                     EngineContext& ctx) {
@@ -65,21 +102,14 @@ Result<OperatorResult> ExecuteOnCpu(const PlanNode& node,
     input_tables.push_back(input->table);
   }
 
-  Stopwatch kernel_watch;
-  HETDB_ASSIGN_OR_RETURN(TablePtr output, node.ComputeResult(input_tables));
-
-  if (node.op() != PlanOp::kScan) {
-    const size_t input_bytes = node.InputBytes(input_tables);
-    AttributeKernelMicros(
-        ProcessorKind::kCpu,
-        ctx.simulator().ChargeCompute(ProcessorKind::kCpu, node.op_class(),
-                                      input_bytes));
-    // HyPE learns from *measured* durations (normalized back to modeled
-    // units), so the model captures slot contention and queueing that the
-    // analytical bootstrap cannot know about.
-    ctx.cost_model().Observe(
-        ProcessorKind::kCpu, node.op_class(), input_bytes,
-        kernel_watch.ElapsedMicros() / ctx.config().time_scale);
+  // Scans are modeled as free: they only reference the base columns.
+  TablePtr output;
+  if (node.op() == PlanOp::kScan) {
+    HETDB_ASSIGN_OR_RETURN(output, node.ComputeResult(input_tables));
+  } else {
+    HETDB_ASSIGN_OR_RETURN(
+        output, RunNodeKernel(node, input_tables, ProcessorKind::kCpu, ctx,
+                              /*device=*/0));
   }
   ctx.metrics().RecordOperator(/*on_gpu=*/false);
 
@@ -91,26 +121,19 @@ Result<OperatorResult> ExecuteOnCpu(const PlanNode& node,
 }
 
 /// Consults the fault injector's kernel site before a device kernel launch.
-/// Returns non-OK when the launch must fail; a latency spike instead charges
-/// the extra modeled kernel time and succeeds.
-Status CheckKernelLaunch(const PlanNode& node, size_t input_bytes,
-                         EngineContext& ctx, int device) {
+/// Returns non-OK when the launch must fail; otherwise the factor by which
+/// thermal throttling stretches the kernel's modeled duration (1 when it
+/// runs at full speed).
+Result<double> CheckKernelLaunch(const PlanNode& node, size_t input_bytes,
+                                 EngineContext& ctx, int device) {
   FaultInjector& injector = ctx.simulator().fault_injector(device);
-  if (!injector.enabled()) return Status::OK();
+  if (!injector.enabled()) return 1.0;
   const FaultDecision fault =
       injector.Decide(FaultSite::kKernel, input_bytes);
   if (fault.fault()) {
     return fault.ToStatus("kernel " + node.label());
   }
-  if (fault.kind == FaultKind::kLatencySpike) {
-    // Thermal throttling: the kernel succeeds but runs `latency_factor`
-    // times slower; charge the extra time on top of the regular kernel cost.
-    ctx.simulator().clock().Charge(
-        (fault.latency_factor - 1.0) *
-        ctx.simulator().EstimateComputeMicros(ProcessorKind::kGpu,
-                                              node.op_class(), input_bytes));
-  }
-  return Status::OK();
+  return fault.kind == FaultKind::kLatencySpike ? fault.latency_factor : 1.0;
 }
 
 /// Device execution with staged allocation; see the header for the phases.
@@ -153,8 +176,11 @@ Result<OperatorResult> ExecuteOnGpu(const PlanNode& node,
       if (!allocation.ok()) return abort_with(allocation.status());
       result.device_allocations.push_back(std::move(allocation).value());
     }
-    Status launch = CheckKernelLaunch(node, node.InputBytes({}), ctx, device);
-    if (!launch.ok()) return abort_with(launch);
+    // Scans are modeled as free, so throttling stretches nothing; only a
+    // failed launch matters.
+    Result<double> launch =
+        CheckKernelLaunch(node, node.InputBytes({}), ctx, device);
+    if (!launch.ok()) return abort_with(launch.status());
     HETDB_ASSIGN_OR_RETURN(TablePtr output, node.ComputeResult({}));
     result.table = std::move(output);
     result.base_data = true;
@@ -204,19 +230,12 @@ Result<OperatorResult> ExecuteOnGpu(const PlanNode& node,
   }
 
   // --- Phase 3: kernel --------------------------------------------------------
-  Status launch =
+  Result<double> launch =
       CheckKernelLaunch(node, node.InputBytes(input_tables), ctx, device);
-  if (!launch.ok()) return abort_with(launch);
-  Stopwatch kernel_watch;
-  HETDB_ASSIGN_OR_RETURN(TablePtr output, node.ComputeResult(input_tables));
-  const size_t input_bytes = node.InputBytes(input_tables);
-  AttributeKernelMicros(
-      ProcessorKind::kGpu,
-      ctx.simulator().ChargeCompute(ProcessorKind::kGpu, node.op_class(),
-                                    input_bytes, device));
-  ctx.cost_model().Observe(
-      ProcessorKind::kGpu, node.op_class(), input_bytes,
-      kernel_watch.ElapsedMicros() / ctx.config().time_scale);
+  if (!launch.ok()) return abort_with(launch.status());
+  HETDB_ASSIGN_OR_RETURN(TablePtr output,
+                         RunNodeKernel(node, input_tables, ProcessorKind::kGpu,
+                                       ctx, device, launch.value()));
 
   // --- Phase 4: result buffer (exact size, known only now) --------------------
   const size_t output_bytes = output->data_bytes();

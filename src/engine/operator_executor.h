@@ -46,15 +46,16 @@ struct OperatorResult {
 /// Executes `node` on `processor` over the children's results.
 ///
 /// CPU path: if a child result lives on the device (and is not base data),
-/// pays the device-to-host transfer; then runs the kernel and charges CPU
-/// time through the simulator.
+/// pays the device-to-host transfer; then runs the kernel inside its modeled
+/// CPU window (`Simulator::RunKernel`).
 ///
 /// Device path (in order, mirroring Section 4.1 — "operators typically start
 /// with the allocation of memory for their input data and data structures"):
 ///   1. acquire inputs — cache lookup/insert for base columns (scans),
 ///      heap allocation + host-to-device transfer for host-resident inputs;
 ///   2. allocate intermediate data structures from the device heap;
-///   3. run the kernel, charging device time;
+///   3. run the kernel inside its modeled window under the device's kernel
+///      lock (a throttled kernel's window is stretched);
 ///   4. allocate the result buffer (actual result size).
 /// Any failing allocation aborts the operator with ResourceExhausted; the
 /// elapsed time up to the abort is recorded as *wasted time* and all partial

@@ -23,14 +23,20 @@ class SimClock {
 
   /// Lets `micros` microseconds of modeled time pass (scaled by the
   /// configured time_scale). Thread-safe.
-  void Charge(double micros) {
+  void Charge(double micros) { ChargeRest(micros, 0); }
+
+  /// Ends a window of `micros` modeled microseconds whose first
+  /// `elapsed_wall_micros` were already spent on real work: counts the full
+  /// `micros`, but sleeps only what is left of its scaled duration (nothing
+  /// when the work took longer). Thread-safe.
+  void ChargeRest(double micros, double elapsed_wall_micros) {
     if (micros <= 0) return;
     total_charged_micros_.fetch_add(static_cast<int64_t>(micros),
                                     std::memory_order_relaxed);
     if (!simulate_) return;
-    const double scaled = micros * time_scale_;
-    std::this_thread::sleep_for(
-        std::chrono::duration<double, std::micro>(scaled));
+    const double rest = micros * time_scale_ - elapsed_wall_micros;
+    if (rest <= 0) return;
+    std::this_thread::sleep_for(std::chrono::duration<double, std::micro>(rest));
   }
 
   bool simulate() const { return simulate_; }

@@ -1,5 +1,7 @@
 #include "sim/simulator.h"
 
+#include <chrono>
+
 #include "common/logging.h"
 #include "telemetry/query_stats.h"
 
@@ -82,21 +84,45 @@ double Simulator::EstimateTransferMicros(size_t bytes) const {
   return static_cast<double>(bytes) / config_.pcie_mbps;
 }
 
-double Simulator::ChargeCompute(ProcessorKind processor, OpClass op_class,
-                                size_t input_bytes, int device) {
-  const double micros = EstimateComputeMicros(processor, op_class, input_bytes);
-  if (processor == ProcessorKind::kGpu) {
-    std::lock_guard<std::mutex> lock(devices_[Check(device)]->kernel_mutex);
-    clock_.Charge(micros);
-    return micros;
+Result<Simulator::KernelWindow> Simulator::RunKernel(
+    ProcessorKind processor, OpClass op_class, size_t input_bytes, int device,
+    const std::function<Status()>& compute, double latency_factor) {
+  KernelWindow window;
+  Status status;
+  auto run_compute = [&] {
+    const auto start = std::chrono::steady_clock::now();
+    status = compute();
+    window.host_micros = std::chrono::duration<double, std::micro>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  };
+  // On the host clock (simulation off or time_scale 0) the window has no
+  // length, so the real compute runs before it as plain host work: holding
+  // the device lock or CPU slots across it would serialize host cores on a
+  // device whose time is not being simulated.
+  const bool timed = clock_.simulate() && clock_.time_scale() > 0;
+  if (!timed) {
+    run_compute();
+    if (!status.ok()) return status;
   }
-  // Intra-operator parallelism: the kernel runs on every currently idle
-  // core; under high inter-operator concurrency each operator gets one.
-  const int slots = cpu_slots_.AcquireUpTo(config_.cpu_workers);
-  const double charged = micros / slots;
-  clock_.Charge(charged);
-  cpu_slots_.Release(slots);
-  return charged;
+  window.modeled_micros =
+      EstimateComputeMicros(processor, op_class, input_bytes) * latency_factor;
+  std::unique_lock<std::mutex> device_lock;
+  int slots = 0;
+  if (processor == ProcessorKind::kGpu) {
+    device_lock =
+        std::unique_lock<std::mutex>(devices_[Check(device)]->kernel_mutex);
+  } else {
+    // Intra-operator parallelism: the kernel runs on every currently idle
+    // core; under high inter-operator concurrency each operator gets one.
+    slots = cpu_slots_.AcquireUpTo(config_.cpu_workers);
+    window.modeled_micros /= slots;
+  }
+  if (timed) run_compute();
+  if (status.ok()) clock_.ChargeRest(window.modeled_micros, window.host_micros);
+  if (slots > 0) cpu_slots_.Release(slots);
+  if (!status.ok()) return status;
+  return window;
 }
 
 Status Simulator::TransferDeviceToDevice(size_t bytes, int from, int to) {

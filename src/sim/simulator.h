@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -71,9 +72,9 @@ class Semaphore {
 /// One Simulator instance represents one machine; every engine, cache, and
 /// workload run is constructed over a Simulator. Timing semantics:
 ///
-///  * `ChargeCompute(kCpu, ...)` occupies one of `cpu_workers` CPU slots for
-///    the modeled kernel duration — the host has finitely many cores.
-///  * `ChargeCompute(kGpu, ..., device)` serializes on that device's kernel
+///  * `RunKernel(kCpu, ...)` occupies CPU slots (of `cpu_workers`) for the
+///    kernel's window — the host has finitely many cores.
+///  * `RunKernel(kGpu, ..., device)` serializes on that device's kernel
 ///    lock — kernels time-share *their* co-processor, while the *memory* of
 ///    concurrently running device operators stays allocated for their whole
 ///    lifetime. This combination is exactly what makes heap contention
@@ -109,13 +110,29 @@ class Simulator {
   PcieBus& bus() { return bus(0); }
   FaultInjector& fault_injector() { return fault_injector(0); }
 
-  /// Models executing one operator kernel of class `op_class` over
-  /// `input_bytes` of data on `processor` (device `device` when kGpu).
-  /// Blocks for the modeled duration (plus any queuing for a CPU slot / the
-  /// device's kernel lock) and returns that duration: on the CPU, the
-  /// single-core estimate divided by the slots the kernel ran on.
-  double ChargeCompute(ProcessorKind processor, OpClass op_class,
-                       size_t input_bytes, int device = 0);
+  /// What one kernel window cost, on both clocks.
+  struct KernelWindow {
+    /// Modeled kernel duration charged to the clock: on the CPU, the
+    /// single-core estimate divided by the slots the kernel ran on.
+    double modeled_micros = 0;
+    /// Wall time `compute` took on this host, inside the window.
+    double host_micros = 0;
+  };
+
+  /// Runs one operator kernel of class `op_class` over `input_bytes` of data
+  /// on `processor` (device `device` when kGpu) as one window: takes the
+  /// device's kernel lock or the free CPU slots, runs `compute` (the real
+  /// host work), sleeps only what is left of the modeled duration, then
+  /// releases. The window therefore lasts max(host, modeled), and kernels
+  /// of one device still serialize. On the host clock (simulation off or
+  /// time_scale 0) no modeled time passes, so `compute` runs before the
+  /// window, outside the lock and slots. `latency_factor` stretches the
+  /// modeled duration of a throttled kernel. When `compute` fails, its
+  /// status is returned and nothing is charged.
+  Result<KernelWindow> RunKernel(ProcessorKind processor, OpClass op_class,
+                                 size_t input_bytes, int device,
+                                 const std::function<Status()>& compute,
+                                 double latency_factor = 1.0);
 
   /// Moves `bytes` from device `from` to device `to`. With a dedicated D2D
   /// interconnect configured (`d2d_mbps > 0`) the copy serializes on that

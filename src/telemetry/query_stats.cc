@@ -237,6 +237,9 @@ std::string QueryStats::ToText() const {
           node.gpu_kernel_micros.load(std::memory_order_relaxed);
       if (cpu_us > 0) os << "  kernel_cpu=" << FormatMillis(cpu_us);
       if (gpu_us > 0) os << "  kernel_gpu=" << FormatMillis(gpu_us);
+      const int64_t host_us =
+          node.host_kernel_micros.load(std::memory_order_relaxed);
+      if (host_us > 0) os << " host=" << FormatMillis(host_us);
       const int64_t h2d = node.h2d_bytes.load(std::memory_order_relaxed);
       const int64_t d2h = node.d2h_bytes.load(std::memory_order_relaxed);
       os << "  pcie(h2d=" << FormatBytes(h2d) << ",d2h=" << FormatBytes(d2h)
@@ -320,6 +323,8 @@ std::string QueryStats::ToJson() const {
        << node.cpu_kernel_micros.load(std::memory_order_relaxed)
        << ",\"gpu_kernel_us\":"
        << node.gpu_kernel_micros.load(std::memory_order_relaxed)
+       << ",\"host_kernel_us\":"
+       << node.host_kernel_micros.load(std::memory_order_relaxed)
        << ",\"h2d_bytes\":" << node.h2d_bytes.load(std::memory_order_relaxed)
        << ",\"d2h_bytes\":" << node.d2h_bytes.load(std::memory_order_relaxed)
        << ",\"transfers\":" << node.transfers.load(std::memory_order_relaxed)

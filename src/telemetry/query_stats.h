@@ -33,6 +33,10 @@ struct NodeStats {
   std::atomic<int64_t> rows_out{-1};
   std::atomic<int64_t> cpu_kernel_micros{0};  ///< modeled kernel time
   std::atomic<int64_t> gpu_kernel_micros{0};
+  /// Real host compute time of the node's kernels. On the simulated clock
+  /// it runs inside the kernel window, hidden whenever it is shorter than
+  /// the modeled time.
+  std::atomic<int64_t> host_kernel_micros{0};
   std::atomic<int64_t> h2d_bytes{0};
   std::atomic<int64_t> d2h_bytes{0};
   std::atomic<int64_t> transfers{0};

@@ -141,6 +141,43 @@ TEST(QueryStatsParityTest, CpuKernelTimeEqualsModeledClockTime) {
               static_cast<double>(stats->nodes().size()));
 }
 
+TEST(QueryStatsParityTest, HostKernelTimeIsAttributedToTheNodeThatRanIt) {
+  // Every executed non-scan operator runs its real kernel inside a window;
+  // the host time measured there lands on that node. Attributing it to the
+  // parent would leave the lowest non-scan nodes at zero, and would push a
+  // node's host time past its own execution time.
+  DatabasePtr db = SsbDb();
+  for (Strategy strategy : {Strategy::kCpuOnly, Strategy::kGpuOnly,
+                            Strategy::kChopping}) {
+    SCOPED_TRACE(StrategyToString(strategy));
+    SystemConfig config;
+    config.simulate_time = false;
+    EngineContext ctx(config, db);
+    StrategyRunner runner(&ctx, strategy);
+    Result<NamedQuery> query = SsbQueryByName("Q2.1");
+    ASSERT_TRUE(query.ok());
+    Result<PlanNodePtr> plan = query->builder(*db);
+    ASSERT_TRUE(plan.ok());
+    auto stats = std::make_shared<QueryStats>();
+    ASSERT_TRUE(runner.RunQuery(plan.value(), stats).ok());
+    int executed = 0;
+    for (const auto& node : stats->nodes()) {
+      if (node->rows_out.load() < 0) continue;  // fused away: never ran
+      const int64_t host = node->host_kernel_micros.load();
+      if (node->op == "scan") {
+        EXPECT_EQ(host, 0) << node->label;
+        continue;
+      }
+      ++executed;
+      EXPECT_GT(host, 0) << node->label;
+      // Host time is rounded up per window, one window per attempt.
+      EXPECT_LE(host, node->run_micros.load() + node->attempts.load())
+          << node->label;
+    }
+    EXPECT_GT(executed, 1);
+  }
+}
+
 // -----------------------------------------------------------------------------
 // EXPLAIN / EXPLAIN ANALYZE rendering
 // -----------------------------------------------------------------------------
@@ -193,6 +230,7 @@ TEST(ExplainTest, AnalyzeShowsPerOperatorResourceAttribution) {
   // heap high-water all visible in the annotated tree.
   EXPECT_NE(text.find("rows="), std::string::npos) << text;
   EXPECT_NE(text.find("kernel_"), std::string::npos) << text;
+  EXPECT_NE(text.find(" host="), std::string::npos) << text;
   EXPECT_NE(text.find("[GPU"), std::string::npos) << text;
   EXPECT_NE(text.find("pcie(h2d="), std::string::npos) << text;
   EXPECT_NE(text.find("heap_hw="), std::string::npos) << text;
@@ -205,6 +243,7 @@ TEST(ExplainTest, AnalyzeShowsPerOperatorResourceAttribution) {
   EXPECT_NE(json.find("\"nodes\":["), std::string::npos);
   EXPECT_NE(json.find("\"ran_on\":\"GPU\""), std::string::npos);
   EXPECT_NE(json.find("\"h2d_bytes\":"), std::string::npos);
+  EXPECT_NE(json.find("\"host_kernel_us\":"), std::string::npos);
 }
 
 TEST(ExplainTest, FailedQueryRendersErrorAndStatus) {

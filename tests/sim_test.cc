@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <functional>
 #include <thread>
 #include <vector>
 
+#include "common/stopwatch.h"
 #include "sim/simulator.h"
 
 namespace hetdb {
@@ -196,15 +199,153 @@ TEST(SimulatorTest, HeapCapacityFollowsConfig) {
   EXPECT_EQ(sim.device_heap().capacity(), 600u);
 }
 
-TEST(SimulatorTest, ChargeComputeAccumulatesClock) {
+Status NoWork() { return Status::OK(); }
+
+TEST(SimulatorTest, RunKernelAccumulatesClock) {
   SystemConfig config = FastConfig();
   config.cpu_throughput.scan_mbps = 100;
   config.cpu_workers = 1;  // disable intra-operator parallelism for exactness
   Simulator sim(config);
-  sim.ChargeCompute(ProcessorKind::kCpu, OpClass::kScan, 1000);
+  Result<Simulator::KernelWindow> cpu =
+      sim.RunKernel(ProcessorKind::kCpu, OpClass::kScan, 1000, 0, NoWork);
+  ASSERT_TRUE(cpu.ok());
+  EXPECT_DOUBLE_EQ(cpu->modeled_micros, 10);
   EXPECT_EQ(sim.clock().total_charged_micros(), 10);
-  sim.ChargeCompute(ProcessorKind::kGpu, OpClass::kScan, 1 << 20);
+  ASSERT_TRUE(
+      sim.RunKernel(ProcessorKind::kGpu, OpClass::kScan, 1 << 20, 0, NoWork)
+          .ok());
   EXPECT_GT(sim.clock().total_charged_micros(), 10);
+}
+
+TEST(SimulatorTest, RunKernelStretchesAThrottledKernel) {
+  SystemConfig config = FastConfig();
+  config.gpu_throughput.join_mbps = 100;
+  Simulator sim(config);
+  Result<Simulator::KernelWindow> window = sim.RunKernel(
+      ProcessorKind::kGpu, OpClass::kJoin, 1000, 0, NoWork, 8.0);
+  ASSERT_TRUE(window.ok());
+  EXPECT_DOUBLE_EQ(window->modeled_micros, 80);
+  EXPECT_EQ(sim.clock().total_charged_micros(), 80);
+}
+
+TEST(SimulatorTest, RunKernelFailedComputeChargesNothing) {
+  Simulator sim(FastConfig());
+  Result<Simulator::KernelWindow> window = sim.RunKernel(
+      ProcessorKind::kGpu, OpClass::kJoin, 1 << 20, 0,
+      [] { return Status::Internal("kernel bug"); });
+  EXPECT_FALSE(window.ok());
+  EXPECT_EQ(sim.clock().total_charged_micros(), 0);
+  // The device lock was released: the next kernel runs.
+  EXPECT_TRUE(
+      sim.RunKernel(ProcessorKind::kGpu, OpClass::kJoin, 1 << 20, 0, NoWork)
+          .ok());
+}
+
+// Kernel-window semantics on the real clock. A GPU join at 100 MB/s over
+// `bytes` is modeled as bytes / 100 microseconds; time_scale 1 makes that
+// the wall time too. Bounds are generous: sleeps overshoot on a loaded host.
+SystemConfig WindowConfig() {
+  SystemConfig config;
+  config.simulate_time = true;
+  config.time_scale = 1.0;
+  config.gpu_throughput.join_mbps = 100;
+  config.cpu_throughput.join_mbps = 100;
+  config.cpu_workers = 1;
+  return config;
+}
+
+constexpr size_t kWindowBytes = 6'000'000;  // 60 ms modeled
+
+std::function<Status()> HostWork(int millis) {
+  return [millis] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(millis));
+    return Status::OK();
+  };
+}
+
+TEST(KernelWindowTest, ShortHostWorkHidesInsideTheModeledWindow) {
+  for (ProcessorKind processor : {ProcessorKind::kGpu, ProcessorKind::kCpu}) {
+    Simulator sim(WindowConfig());
+    Stopwatch watch;
+    Result<Simulator::KernelWindow> window = sim.RunKernel(
+        processor, OpClass::kJoin, kWindowBytes, 0, HostWork(30));
+    const double wall_ms = watch.ElapsedMillis();
+    ASSERT_TRUE(window.ok());
+    EXPECT_DOUBLE_EQ(window->modeled_micros, 60'000);
+    EXPECT_GE(window->host_micros, 30'000);
+    // max(30, 60) = 60 ms, not the 90 ms sum.
+    EXPECT_GE(wall_ms, 59.0) << ProcessorKindToString(processor);
+    EXPECT_LT(wall_ms, 80.0) << ProcessorKindToString(processor);
+  }
+}
+
+TEST(KernelWindowTest, LongHostWorkIsNotPaddedByTheModeledWindow) {
+  Simulator sim(WindowConfig());
+  Stopwatch watch;
+  Result<Simulator::KernelWindow> window = sim.RunKernel(
+      ProcessorKind::kGpu, OpClass::kJoin, kWindowBytes / 2, 0, HostWork(60));
+  const double wall_ms = watch.ElapsedMillis();
+  ASSERT_TRUE(window.ok());
+  EXPECT_DOUBLE_EQ(window->modeled_micros, 30'000);
+  // max(60, 30) = 60 ms, not the 90 ms sum.
+  EXPECT_GE(wall_ms, 59.0);
+  EXPECT_LT(wall_ms, 80.0);
+}
+
+TEST(KernelWindowTest, KernelsOnOneDeviceSerialize) {
+  SystemConfig config = WindowConfig();
+  config.device_count = 2;
+  Simulator sim(config);
+  // Two kernels on one device take at least both windows; the same two on
+  // different devices overlap.
+  auto run_pair = [&sim](int second_device) {
+    Stopwatch watch;
+    std::vector<std::thread> threads;
+    for (int device : {0, second_device}) {
+      threads.emplace_back([&sim, device] {
+        ASSERT_TRUE(sim.RunKernel(ProcessorKind::kGpu, OpClass::kJoin,
+                                  kWindowBytes, device, HostWork(10))
+                        .ok());
+      });
+    }
+    for (auto& thread : threads) thread.join();
+    return watch.ElapsedMillis();
+  };
+  EXPECT_GE(run_pair(/*second_device=*/0), 119.0);
+  EXPECT_LT(run_pair(/*second_device=*/1), 100.0);
+}
+
+TEST(KernelWindowTest, HostClockKernelsOnOneDeviceOverlap) {
+  // Without simulated time the window has no length: the real compute is
+  // plain host work and does not queue on the device lock.
+  SystemConfig config = WindowConfig();
+  config.simulate_time = false;
+  Simulator sim(config);
+  Stopwatch watch;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&sim] {
+      ASSERT_TRUE(sim.RunKernel(ProcessorKind::kGpu, OpClass::kJoin,
+                                kWindowBytes, 0, HostWork(40))
+                      .ok());
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_LT(watch.ElapsedMillis(), 70.0);
+  EXPECT_EQ(sim.clock().total_charged_micros(), 120'000);
+}
+
+TEST(KernelWindowTest, ClockCountsTheFullModeledTime) {
+  Simulator sim(WindowConfig());
+  ASSERT_TRUE(sim.RunKernel(ProcessorKind::kGpu, OpClass::kJoin,
+                            kWindowBytes / 6, 0, HostWork(20))
+                  .ok());
+  ASSERT_TRUE(sim.RunKernel(ProcessorKind::kCpu, OpClass::kJoin,
+                            kWindowBytes / 6, 0, HostWork(5))
+                  .ok());
+  // Host work outlasted one window and hid inside the other; the clock
+  // still counts both modeled durations in full.
+  EXPECT_EQ(sim.clock().total_charged_micros(), 20'000);
 }
 
 TEST(SemaphoreTest, LimitsConcurrency) {
