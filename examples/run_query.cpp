@@ -4,7 +4,8 @@
 // and without --sql, and diff the stdout lines: neither operator fusion
 // (DESIGN.md §11) nor planning from SQL may change a result. Informational
 // output (timing, heap footprint) goes to stderr so stdout stays
-// diff-stable.
+// diff-stable. The query's modeled micros (the simulator's accumulated
+// clock: kernel windows plus PCIe, nothing slept) are printed on stderr.
 //
 // Usage:
 //   run_query [--query Q2.1] [--fusion=on|off] [--sf 0.2]
@@ -149,18 +150,24 @@ int Run(int argc, char** argv) {
     return 2;
   }
   QueryStatsPtr stats = std::make_shared<QueryStats>();
+  const int64_t clock_before = ctx.simulator().clock().total_charged_micros();
   Result<TablePtr> result = runner.RunQuery(plan.value(), stats);
+  const int64_t modeled_micros =
+      ctx.simulator().clock().total_charged_micros() - clock_before;
   if (!result.ok()) {
     std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
     return 1;
   }
 
   std::fprintf(stderr,
-               "# %s strategy=%s fusion=%s plan=%s heap_high_water=%lld\n",
+               "# %s strategy=%s fusion=%s plan=%s heap_high_water=%lld "
+               "modeled_us=%lld\n",
                query_name.c_str(), strategy_name.c_str(),
                fusion ? "on" : "off", from_sql ? "sql" : "builder",
-               static_cast<long long>(stats->heap_high_water()));
-  // stdout: stable across fusion on/off and --sql — the CI smokes diff it.
+               static_cast<long long>(stats->heap_high_water()),
+               static_cast<long long>(modeled_micros));
+  // stdout: stable across fusion on/off, strategy and --sql — the CI smokes
+  // diff it.
   std::printf("%s rows=%zu cols=%zu checksum=%016llx\n", query_name.c_str(),
               result.value()->num_rows(), result.value()->num_columns(),
               static_cast<unsigned long long>(ChecksumTable(*result.value())));

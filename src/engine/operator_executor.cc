@@ -12,10 +12,12 @@ namespace hetdb {
 
 namespace {
 
-/// Attributes one kernel window's modeled and host time to the node the
-/// calling thread is executing (no-op outside a QueryStatsScope).
+/// Attributes one kernel window's modeled and host time, and the filter
+/// survivors the charge was computed from, to the node the calling thread
+/// is executing (no-op outside a QueryStatsScope).
 void AttributeKernelWindow(ProcessorKind processor,
-                           const Simulator::KernelWindow& window) {
+                           const Simulator::KernelWindow& window,
+                           int64_t filter_survivors) {
   NodeStats* stats = QueryStatsScope::current_node();
   if (stats == nullptr) return;
   auto& counter = processor == ProcessorKind::kGpu ? stats->gpu_kernel_micros
@@ -26,36 +28,38 @@ void AttributeKernelWindow(ProcessorKind processor,
   stats->host_kernel_micros.fetch_add(
       static_cast<int64_t>(std::ceil(window.host_micros)),
       std::memory_order_relaxed);
+  if (filter_survivors >= 0) {
+    stats->filter_survivors.store(filter_survivors, std::memory_order_relaxed);
+  }
 }
 
 /// Runs `node`'s real kernel inside its modeled window on `processor`
-/// (device `device` when kGpu), attributes the window to the node, and
-/// feeds HyPE the measured duration. `latency_factor` > 1 models a
-/// throttled device kernel.
+/// (device `device` when kGpu), charging the work the kernel reports,
+/// attributes the window to the node, and feeds HyPE the measured duration.
+/// `latency_factor` > 1 models a throttled device kernel.
 Result<TablePtr> RunNodeKernel(const PlanNode& node,
                                const std::vector<TablePtr>& input_tables,
                                ProcessorKind processor, EngineContext& ctx,
                                int device, double latency_factor = 1.0) {
-  const size_t input_bytes = node.InputBytes(input_tables);
-  TablePtr output;
+  KernelOutput output;
   Stopwatch kernel_watch;
   HETDB_ASSIGN_OR_RETURN(
       const Simulator::KernelWindow window,
       ctx.simulator().RunKernel(
-          processor, node.op_class(), input_bytes, device,
-          [&]() -> Status {
-            HETDB_ASSIGN_OR_RETURN(output, node.ComputeResult(input_tables));
-            return Status::OK();
+          processor, device,
+          [&]() -> Result<KernelWork> {
+            HETDB_ASSIGN_OR_RETURN(output, node.ComputeWithWork(input_tables));
+            return output.work;
           },
           latency_factor));
-  AttributeKernelWindow(processor, window);
+  AttributeKernelWindow(processor, window, output.filter_survivors);
   // HyPE learns from *measured* durations (normalized back to modeled
   // units), so the model captures slot contention and queueing that the
   // analytical bootstrap cannot know about.
   ctx.cost_model().Observe(
-      processor, node.op_class(), input_bytes,
+      processor, node.op_class(), node.InputBytes(input_tables),
       kernel_watch.ElapsedMicros() / ctx.config().time_scale);
-  return output;
+  return std::move(output.table);
 }
 
 /// Stamps node-level outcome fields after a successful execution.

@@ -739,9 +739,11 @@ Result<TablePtr> AggregateMatches(
 // Fused evaluation
 // ---------------------------------------------------------------------------
 
+/// Runs the bound chain; `*survivors` receives the number of source rows
+/// that passed the compiled CNF (all of them when the chain has none).
 Result<TablePtr> EvaluateBoundChain(const BoundChain& bound,
                                     const std::vector<TablePtr>& inputs,
-                                    KernelStats& stats) {
+                                    KernelStats& stats, size_t* survivors) {
   const Table& source = *inputs[0];
   const size_t n = source.num_rows();
   const size_t num_joins = bound.joins.size();
@@ -762,6 +764,7 @@ Result<TablePtr> EvaluateBoundChain(const BoundChain& bound,
 
   std::vector<std::vector<uint32_t>> morsel_src(num_morsels);
   std::vector<std::vector<std::vector<uint32_t>>> morsel_levels(num_morsels);
+  std::vector<size_t> morsel_survivors(num_morsels, 0);
   std::vector<std::vector<uint8_t>> keep_scratch(max_workers);
   std::vector<std::vector<uint8_t>> dis_scratch(max_workers);
   std::vector<std::vector<uint32_t>> surv_scratch(max_workers);
@@ -787,6 +790,7 @@ Result<TablePtr> EvaluateBoundChain(const BoundChain& bound,
       surv[survivors] = static_cast<uint32_t>(begin + i);
       survivors += keep[i];
     }
+    morsel_survivors[m] = survivors;
     if (survivors == 0) return;
     std::vector<uint32_t>& src_buf = morsel_src[m];
     std::vector<std::vector<uint32_t>>& lvl_buf = morsel_levels[m];
@@ -829,6 +833,8 @@ Result<TablePtr> EvaluateBoundChain(const BoundChain& bound,
     }
   }
   RecordLoop(stats, n, morsel, workers);
+  *survivors = 0;
+  for (size_t count : morsel_survivors) *survivors += count;
 
   // Stage 2: prefix-sum concat of the per-morsel buffers — morsel order is
   // source-row order, so the global match list is ascending.
@@ -925,19 +931,45 @@ Result<TablePtr> FusedPipelineNode::ReplayMembers(
 
 Result<TablePtr> FusedPipelineNode::ComputeResult(
     const std::vector<TablePtr>& inputs) const {
+  HETDB_ASSIGN_OR_RETURN(KernelOutput output, ComputeWithWork(inputs));
+  return std::move(output.table);
+}
+
+Result<KernelOutput> FusedPipelineNode::ComputeWithWork(
+    const std::vector<TablePtr>& inputs) const {
   static KernelStats stats("fused_pipeline");
   KernelTimer timer(stats);
   HETDB_CHECK(inputs.size() == 1 + num_joins_);
   for (const TablePtr& input : inputs) {
     HETDB_CHECK(input != nullptr);
   }
+  KernelOutput output;
+  output.work = {op_class(), InputBytes(inputs)};
   Result<BoundChain> bound = BindChain(members_, inputs);
   if (!bound.ok()) {
     // Shape the fused evaluator does not handle (or a genuine query error):
     // replay the members operator-at-a-time for exact unfused semantics.
-    return ReplayMembers(inputs);
+    HETDB_ASSIGN_OR_RETURN(output.table, ReplayMembers(inputs));
+    return output;
   }
-  return EvaluateBoundChain(bound.value(), inputs, stats);
+  size_t survivors = 0;
+  HETDB_ASSIGN_OR_RETURN(output.table, EvaluateBoundChain(bound.value(), inputs,
+                                                          stats, &survivors));
+  if (bound->conjuncts.empty()) return output;
+  // One pass over the source: the filter reads all of it at the scan rate;
+  // only its survivors go on to the probe walk and the terminal, which run
+  // at the pipeline's class rate together with the build sides.
+  const Table& source = *inputs[0];
+  const size_t survivor_bytes =
+      source.num_rows() == 0
+          ? 0
+          : static_cast<size_t>(static_cast<double>(source.data_bytes()) *
+                                static_cast<double>(survivors) /
+                                static_cast<double>(source.num_rows()));
+  output.work.filter_bytes = source.data_bytes();
+  output.work.bytes -= source.data_bytes() - survivor_bytes;
+  output.filter_survivors = static_cast<int64_t>(survivors);
+  return output;
 }
 
 }  // namespace hetdb

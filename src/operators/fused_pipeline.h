@@ -44,6 +44,14 @@ class FusedPipelineNode : public PlanNode {
   OpClass op_class() const override;
   Result<TablePtr> ComputeResult(
       const std::vector<TablePtr>& inputs) const override;
+  /// With a filter member, the kernel's work is the one pass it makes: the
+  /// filter over all source bytes at the scan rate, then the probe walk and
+  /// terminal over the surviving rows' share of the source plus the build
+  /// bytes, at `op_class()`'s rate. Without one (or when the members are
+  /// replayed one at a time) it is the default: every input byte at
+  /// `op_class()`'s rate.
+  Result<KernelOutput> ComputeWithWork(
+      const std::vector<TablePtr>& inputs) const override;
   size_t IntermediateDeviceBytes(
       const std::vector<TablePtr>& inputs) const override;
   std::string label() const override;

@@ -28,6 +28,14 @@ const char* PlanOpToString(PlanOp op) {
   return "?";
 }
 
+Result<KernelOutput> PlanNode::ComputeWithWork(
+    const std::vector<TablePtr>& inputs) const {
+  KernelOutput output;
+  HETDB_ASSIGN_OR_RETURN(output.table, ComputeResult(inputs));
+  output.work = {op_class(), InputBytes(inputs)};
+  return output;
+}
+
 size_t PlanNode::InputBytes(const std::vector<TablePtr>& inputs) const {
   size_t bytes = 0;
   for (const TablePtr& input : inputs) {

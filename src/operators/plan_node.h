@@ -33,6 +33,16 @@ const char* PlanOpToString(PlanOp op);
 class PlanNode;
 using PlanNodePtr = std::shared_ptr<PlanNode>;
 
+/// A kernel's result together with the work it did (what the simulator
+/// charges for it).
+struct KernelOutput {
+  TablePtr table;
+  KernelWork work;
+  /// Source rows that passed a fused pipeline's filter pass; -1 for a
+  /// kernel without one.
+  int64_t filter_survivors = -1;
+};
+
 /// A node of the operator-at-a-time physical query plan.
 ///
 /// Nodes are immutable descriptions: the kernel to run, the children whose
@@ -61,7 +71,13 @@ class PlanNode {
   virtual Result<TablePtr> ComputeResult(
       const std::vector<TablePtr>& inputs) const = 0;
 
-  /// Bytes of input this operator consumes (drives modeled kernel duration).
+  /// ComputeResult plus the work the kernel did. By default that is all of
+  /// `InputBytes(inputs)` at the rate of `op_class()`.
+  virtual Result<KernelOutput> ComputeWithWork(
+      const std::vector<TablePtr>& inputs) const;
+
+  /// Bytes of input this operator consumes (the cost models' size feature,
+  /// and by default the modeled kernel work).
   virtual size_t InputBytes(const std::vector<TablePtr>& inputs) const;
 
   /// Device-heap bytes of intermediate data structures the device variant

@@ -85,13 +85,14 @@ double Simulator::EstimateTransferMicros(size_t bytes) const {
 }
 
 Result<Simulator::KernelWindow> Simulator::RunKernel(
-    ProcessorKind processor, OpClass op_class, size_t input_bytes, int device,
-    const std::function<Status()>& compute, double latency_factor) {
+    ProcessorKind processor, int device,
+    const std::function<Result<KernelWork>()>& compute,
+    double latency_factor) {
   KernelWindow window;
-  Status status;
+  Result<KernelWork> work = KernelWork{};
   auto run_compute = [&] {
     const auto start = std::chrono::steady_clock::now();
-    status = compute();
+    work = compute();
     window.host_micros = std::chrono::duration<double, std::micro>(
                              std::chrono::steady_clock::now() - start)
                              .count();
@@ -103,12 +104,10 @@ Result<Simulator::KernelWindow> Simulator::RunKernel(
   const bool timed = clock_.simulate() && clock_.time_scale() > 0;
   if (!timed) {
     run_compute();
-    if (!status.ok()) return status;
+    if (!work.ok()) return work.status();
   }
-  window.modeled_micros =
-      EstimateComputeMicros(processor, op_class, input_bytes) * latency_factor;
   std::unique_lock<std::mutex> device_lock;
-  int slots = 0;
+  int slots = 1;
   if (processor == ProcessorKind::kGpu) {
     device_lock =
         std::unique_lock<std::mutex>(devices_[Check(device)]->kernel_mutex);
@@ -116,13 +115,32 @@ Result<Simulator::KernelWindow> Simulator::RunKernel(
     // Intra-operator parallelism: the kernel runs on every currently idle
     // core; under high inter-operator concurrency each operator gets one.
     slots = cpu_slots_.AcquireUpTo(config_.cpu_workers);
-    window.modeled_micros /= slots;
   }
   if (timed) run_compute();
-  if (status.ok()) clock_.ChargeRest(window.modeled_micros, window.host_micros);
-  if (slots > 0) cpu_slots_.Release(slots);
-  if (!status.ok()) return status;
+  if (work.ok()) {
+    // The duration follows the work the kernel reports having done, known
+    // only now: a fused pipeline's probe stage covers its filter survivors.
+    window.modeled_micros =
+        (EstimateComputeMicros(processor, OpClass::kScan, work->filter_bytes) +
+         EstimateComputeMicros(processor, work->op_class, work->bytes)) *
+        latency_factor / slots;
+    clock_.ChargeRest(window.modeled_micros, window.host_micros);
+  }
+  if (processor == ProcessorKind::kCpu) cpu_slots_.Release(slots);
+  if (!work.ok()) return work.status();
   return window;
+}
+
+Result<Simulator::KernelWindow> Simulator::RunKernel(
+    ProcessorKind processor, OpClass op_class, size_t input_bytes, int device,
+    const std::function<Status()>& compute, double latency_factor) {
+  return RunKernel(
+      processor, device,
+      [&]() -> Result<KernelWork> {
+        HETDB_RETURN_NOT_OK(compute());
+        return KernelWork{op_class, input_bytes};
+      },
+      latency_factor);
 }
 
 Status Simulator::TransferDeviceToDevice(size_t bytes, int from, int to) {

@@ -26,6 +26,16 @@ const char* ProcessorKindToString(ProcessorKind kind);
 /// Operator cost classes, mapping to ThroughputTable entries.
 enum class OpClass { kScan, kJoin, kAggregate, kSort, kProject, kMaterialize };
 
+/// The data one kernel passed, which its modeled duration is computed from:
+/// `bytes` at the rate of `op_class`, after a filter pass over
+/// `filter_bytes` at the scan rate. Only a fused pipeline with a filter has
+/// a filter pass; its main stage then covers just the rows that survived.
+struct KernelWork {
+  OpClass op_class = OpClass::kScan;
+  size_t bytes = 0;
+  size_t filter_bytes = 0;
+};
+
 /// Simple counting semaphore (std::counting_semaphore needs a compile-time
 /// ceiling; the CPU slot count is a runtime config value).
 class Semaphore {
@@ -119,16 +129,23 @@ class Simulator {
     double host_micros = 0;
   };
 
-  /// Runs one operator kernel of class `op_class` over `input_bytes` of data
-  /// on `processor` (device `device` when kGpu) as one window: takes the
-  /// device's kernel lock or the free CPU slots, runs `compute` (the real
-  /// host work), sleeps only what is left of the modeled duration, then
-  /// releases. The window therefore lasts max(host, modeled), and kernels
-  /// of one device still serialize. On the host clock (simulation off or
-  /// time_scale 0) no modeled time passes, so `compute` runs before the
-  /// window, outside the lock and slots. `latency_factor` stretches the
-  /// modeled duration of a throttled kernel. When `compute` fails, its
-  /// status is returned and nothing is charged.
+  /// Runs one operator kernel on `processor` (device `device` when kGpu) as
+  /// one window: takes the device's kernel lock or the free CPU slots, runs
+  /// `compute` (the real host work, which reports the work it did), sleeps
+  /// only what is left of that work's modeled duration, then releases. The
+  /// window therefore lasts max(host, modeled), and kernels of one device
+  /// still serialize. On the host clock (simulation off or time_scale 0) no
+  /// modeled time passes, so `compute` runs before the window, outside the
+  /// lock and slots. `latency_factor` stretches the modeled duration of a
+  /// throttled kernel. When `compute` fails, its status is returned and
+  /// nothing is charged.
+  Result<KernelWindow> RunKernel(
+      ProcessorKind processor, int device,
+      const std::function<Result<KernelWork>()>& compute,
+      double latency_factor = 1.0);
+
+  /// RunKernel for a kernel whose work is known before it runs:
+  /// `input_bytes` at the rate of `op_class`.
   Result<KernelWindow> RunKernel(ProcessorKind processor, OpClass op_class,
                                  size_t input_bytes, int device,
                                  const std::function<Status()>& compute,

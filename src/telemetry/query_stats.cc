@@ -231,6 +231,9 @@ std::string QueryStats::ToText() const {
         os << "  rows=" << rows_out;
         if (rows_in >= 0) os << " (in " << rows_in << ")";
       }
+      const int64_t survivors =
+          node.filter_survivors.load(std::memory_order_relaxed);
+      if (survivors >= 0) os << " survivors=" << survivors;
       const int64_t cpu_us =
           node.cpu_kernel_micros.load(std::memory_order_relaxed);
       const int64_t gpu_us =
@@ -319,6 +322,8 @@ std::string QueryStats::ToJson() const {
        << "\",\"device\":" << node.device.load(std::memory_order_relaxed)
        << ",\"rows_in\":" << node.rows_in.load(std::memory_order_relaxed)
        << ",\"rows_out\":" << node.rows_out.load(std::memory_order_relaxed)
+       << ",\"survivors\":"
+       << node.filter_survivors.load(std::memory_order_relaxed)
        << ",\"cpu_kernel_us\":"
        << node.cpu_kernel_micros.load(std::memory_order_relaxed)
        << ",\"gpu_kernel_us\":"

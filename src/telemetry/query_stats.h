@@ -31,6 +31,9 @@ struct NodeStats {
 
   std::atomic<int64_t> rows_in{-1};   ///< -1 until the operator ran
   std::atomic<int64_t> rows_out{-1};
+  /// Source rows that passed a fused pipeline's filter: the rows its probe
+  /// stage is charged for. -1 for nodes without a filter pass.
+  std::atomic<int64_t> filter_survivors{-1};
   std::atomic<int64_t> cpu_kernel_micros{0};  ///< modeled kernel time
   std::atomic<int64_t> gpu_kernel_micros{0};
   /// Real host compute time of the node's kernels. On the simulated clock

@@ -7,6 +7,7 @@
 // SSB query.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -469,6 +470,145 @@ TEST_F(FusedPipelineTest, FusedNodeChargesOnlyBuildTables) {
   PlanNodePtr select = std::make_shared<SelectNode>(
       ScanFact(), ConjunctiveFilter::And({Predicate::Lt("v", int64_t{50})}));
   EXPECT_GT(select->IntermediateDeviceBytes({fact}), bytes);
+}
+
+// ---------------------------------------------------------------------------
+// Modeled charge: the one pass the fused kernel makes
+// ---------------------------------------------------------------------------
+
+TEST_F(FusedPipelineTest, FilteredPipelineReportsItsOnePassWork) {
+  KernelScope scope(KernelBackend::kMorselParallel, 2, 16, /*fusion=*/true);
+  PlanNodePtr fused = FusePipelines(StarPlan(10, 60));
+  ASSERT_EQ(fused->op(), PlanOp::kFusedPipeline);
+  TablePtr fact = ScanFact()->ComputeResult({}).value();
+  TablePtr dim = ScanDim()->ComputeResult({}).value();
+  Result<KernelOutput> output = fused->ComputeWithWork({fact, dim});
+  ASSERT_TRUE(output.ok()) << output.status().ToString();
+  const std::vector<int32_t>& v =
+      static_cast<const Int32Column&>(*fact->GetColumn("v").value()).values();
+  const auto kept = static_cast<size_t>(std::count_if(
+      v.begin(), v.end(), [](int32_t x) { return x > 10 && x < 60; }));
+  ASSERT_LT(kept, fact->num_rows());
+  EXPECT_EQ(output->filter_survivors, static_cast<int64_t>(kept));
+  // The filter reads the whole source; the probe only the survivors' share.
+  EXPECT_EQ(output->work.op_class, OpClass::kJoin);
+  EXPECT_EQ(output->work.filter_bytes, fact->data_bytes());
+  EXPECT_EQ(output->work.bytes,
+            fact->data_bytes() * kept / fact->num_rows() + dim->data_bytes());
+
+  // Without a filter member the work is the default: every input byte at
+  // the pipeline's class rate.
+  JoinOutputSpec spec;
+  spec.build_columns = {"name"};
+  spec.probe_columns = {"v"};
+  PlanNodePtr unfiltered = FusePipelines(std::make_shared<AggregateNode>(
+      std::make_shared<JoinNode>(ScanDim(), ScanFact(), "key", "fk", spec),
+      std::vector<std::string>{"name"},
+      std::vector<AggregateSpec>{{AggregateFn::kSum, "v", "total"}}));
+  ASSERT_EQ(unfiltered->op(), PlanOp::kFusedPipeline);
+  output = unfiltered->ComputeWithWork({fact, dim});
+  ASSERT_TRUE(output.ok()) << output.status().ToString();
+  EXPECT_EQ(output->filter_survivors, -1);
+  EXPECT_EQ(output->work.filter_bytes, 0u);
+  EXPECT_EQ(output->work.bytes, unfiltered->InputBytes({fact, dim}));
+}
+
+/// A plan subtree's result, evaluated on the host: the inputs the engine
+/// hands the subtree's parent.
+TablePtr EvaluateOnHost(const PlanNodePtr& node) {
+  std::vector<TablePtr> inputs;
+  for (const PlanNodePtr& child : node->children()) {
+    inputs.push_back(EvaluateOnHost(child));
+  }
+  return node->ComputeResult(inputs).value();
+}
+
+/// Every throughput 1000x below the defaults: a query's kernel windows are
+/// then thousands of modeled micros each, so the integer micros the clock
+/// keeps resolve far finer than 1%. A uniform rate scale leaves the ratio
+/// of two charges unchanged.
+SystemConfig SlowRateConfig() {
+  SystemConfig config;
+  config.simulate_time = false;
+  for (ThroughputTable* table :
+       {&config.cpu_throughput, &config.gpu_throughput}) {
+    for (double* mbps : {&table->scan_mbps, &table->join_mbps,
+                         &table->aggregate_mbps, &table->sort_mbps,
+                         &table->project_mbps, &table->materialize_mbps}) {
+      *mbps /= 1000;
+    }
+  }
+  config.pcie_mbps /= 1000;
+  return config;
+}
+
+// The invariant of fusion on the modeled clock: a fused plan is charged no
+// more than its unfused chain. Charging the whole source and build bytes at
+// the join rate broke it for Q1.1-Q1.3 (~2.3x), whose filter drops most of
+// lineorder before the probe. Pipelines without a filter keep the
+// per-operator rule exactly: each kernel's input bytes at its class rate.
+TEST(FusedChargeTest, FusedSsbQueriesAreChargedNoMoreThanUnfused) {
+  SsbGeneratorOptions options;
+  options.scale_factor = 0.2;
+  static DatabasePtr ssb = GenerateSsbDatabase(options);
+  const SystemConfig config = SlowRateConfig();
+  for (Strategy strategy : {Strategy::kCpuOnly, Strategy::kGpuOnly}) {
+    const ProcessorKind processor = strategy == Strategy::kCpuOnly
+                                        ? ProcessorKind::kCpu
+                                        : ProcessorKind::kGpu;
+    // A query alone on the host runs each CPU kernel on every slot.
+    const int slots =
+        processor == ProcessorKind::kCpu ? config.cpu_workers : 1;
+    for (const NamedQuery& query : SsbQueries()) {
+      SCOPED_TRACE(query.name + " " + StrategyToString(strategy));
+      Result<PlanNodePtr> raw = query.builder(*ssb);
+      ASSERT_TRUE(raw.ok());
+      auto charge = [&](bool fusion, PlanNodePtr* plan,
+                        QueryStatsPtr* stats) -> int64_t {
+        FusionScope scope(fusion);
+        EngineContext ctx(config, ssb);
+        StrategyRunner runner(&ctx, strategy);
+        *plan = runner.PreparePlan(raw.value());
+        *stats = std::make_shared<QueryStats>();
+        EXPECT_TRUE(runner.RunQuery(*plan, *stats).ok());
+        return ctx.simulator().clock().total_charged_micros();
+      };
+      PlanNodePtr plan;
+      QueryStatsPtr stats;
+      const int64_t unfused = charge(false, &plan, &stats);
+      const int64_t fused = charge(true, &plan, &stats);
+      ASSERT_GT(CountFusedNodes(plan), 0u);
+      EXPECT_LE(static_cast<double>(fused), 1.01 * static_cast<double>(unfused))
+          << "fused " << fused << " us, unfused " << unfused << " us";
+
+      // Every kernel without a filter pass is charged its input bytes at its
+      // class rate, divided by the slots it ran on.
+      Simulator estimator(config);
+      VisitPlanPostOrder(plan, [&](const PlanNodePtr& node) {
+        NodeStats* node_stats = stats->Find(node.get());
+        ASSERT_NE(node_stats, nullptr);
+        if (node->op() == PlanOp::kScan ||
+            node_stats->filter_survivors.load() >= 0) {
+          return;
+        }
+        ASSERT_EQ(node_stats->ran_on.load(),
+                  processor == ProcessorKind::kGpu ? 1 : 0);
+        std::vector<TablePtr> inputs;
+        for (const PlanNodePtr& child : node->children()) {
+          inputs.push_back(EvaluateOnHost(child));
+        }
+        const auto expected = static_cast<int64_t>(
+            estimator.EstimateComputeMicros(processor, node->op_class(),
+                                            node->InputBytes(inputs)) /
+            slots);
+        EXPECT_EQ(processor == ProcessorKind::kGpu
+                      ? node_stats->gpu_kernel_micros.load()
+                      : node_stats->cpu_kernel_micros.load(),
+                  expected)
+            << node->label();
+      });
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -116,29 +116,37 @@ TEST(QueryStatsParityTest, CpuKernelTimeEqualsModeledClockTime) {
   // A query alone on the host runs each kernel on every CPU slot, so the
   // modeled time that passes is the single-core estimate divided by the
   // slots; per-node CPU kernel time must report that, not the estimate.
+  // Q1.1's fused pipeline filters its source, so its charge is the two-pass
+  // work the kernel reports; Q2.1's pipeline has no filter.
   DatabasePtr db = SsbDb();
-  SystemConfig config;
-  config.simulate_time = false;
-  config.cpu_workers = 4;
-  EngineContext ctx(config, db);
-  StrategyRunner runner(&ctx, Strategy::kCpuOnly);
-  Result<NamedQuery> query = SsbQueryByName("Q2.1");
-  ASSERT_TRUE(query.ok());
-  Result<PlanNodePtr> plan = query->builder(*db);
-  ASSERT_TRUE(plan.ok());
-  auto stats = std::make_shared<QueryStats>();
-  const int64_t before = ctx.simulator().clock().total_charged_micros();
-  ASSERT_TRUE(runner.RunQuery(plan.value(), stats).ok());
-  const int64_t charged =
-      ctx.simulator().clock().total_charged_micros() - before;
-  int64_t attributed = 0;
-  for (const auto& node : stats->nodes()) {
-    EXPECT_EQ(node->gpu_kernel_micros.load(), 0) << node->label;
-    attributed += node->cpu_kernel_micros.load();
+  for (const char* name : {"Q2.1", "Q1.1"}) {
+    SCOPED_TRACE(name);
+    SystemConfig config;
+    config.simulate_time = false;
+    config.cpu_workers = 4;
+    EngineContext ctx(config, db);
+    StrategyRunner runner(&ctx, Strategy::kCpuOnly);
+    Result<NamedQuery> query = SsbQueryByName(name);
+    ASSERT_TRUE(query.ok());
+    Result<PlanNodePtr> plan = query->builder(*db);
+    ASSERT_TRUE(plan.ok());
+    auto stats = std::make_shared<QueryStats>();
+    const int64_t before = ctx.simulator().clock().total_charged_micros();
+    ASSERT_TRUE(runner.RunQuery(plan.value(), stats).ok());
+    const int64_t charged =
+        ctx.simulator().clock().total_charged_micros() - before;
+    int64_t attributed = 0;
+    int filtered = 0;
+    for (const auto& node : stats->nodes()) {
+      EXPECT_EQ(node->gpu_kernel_micros.load(), 0) << node->label;
+      attributed += node->cpu_kernel_micros.load();
+      if (node->filter_survivors.load() >= 0) ++filtered;
+    }
+    EXPECT_EQ(filtered, std::string(name) == "Q1.1" ? 1 : 0);
+    EXPECT_GT(charged, 0);
+    EXPECT_NEAR(attributed, charged,
+                static_cast<double>(stats->nodes().size()));
   }
-  EXPECT_GT(charged, 0);
-  EXPECT_NEAR(attributed, charged,
-              static_cast<double>(stats->nodes().size()));
 }
 
 TEST(QueryStatsParityTest, HostKernelTimeIsAttributedToTheNodeThatRanIt) {
@@ -231,6 +239,20 @@ TEST(ExplainTest, AnalyzeShowsPerOperatorResourceAttribution) {
   EXPECT_NE(text.find("rows="), std::string::npos) << text;
   EXPECT_NE(text.find("kernel_"), std::string::npos) << text;
   EXPECT_NE(text.find(" host="), std::string::npos) << text;
+  // The fused pipeline's filter survivors, the input of its probe charge:
+  // some but not all of the lineorder rows it read.
+  int64_t survivors = -1;
+  int64_t rows_in = -1;
+  for (const auto& node : stats->nodes()) {
+    if (node->op != "fused_pipeline") continue;
+    survivors = node->filter_survivors.load();
+    rows_in = node->rows_in.load();
+  }
+  EXPECT_GT(survivors, 0);
+  EXPECT_LT(survivors, rows_in);
+  EXPECT_NE(text.find(" survivors=" + std::to_string(survivors)),
+            std::string::npos)
+      << text;
   EXPECT_NE(text.find("[GPU"), std::string::npos) << text;
   EXPECT_NE(text.find("pcie(h2d="), std::string::npos) << text;
   EXPECT_NE(text.find("heap_hw="), std::string::npos) << text;
@@ -244,6 +266,9 @@ TEST(ExplainTest, AnalyzeShowsPerOperatorResourceAttribution) {
   EXPECT_NE(json.find("\"ran_on\":\"GPU\""), std::string::npos);
   EXPECT_NE(json.find("\"h2d_bytes\":"), std::string::npos);
   EXPECT_NE(json.find("\"host_kernel_us\":"), std::string::npos);
+  EXPECT_NE(json.find("\"survivors\":" + std::to_string(survivors)),
+            std::string::npos);
+  EXPECT_NE(json.find("\"survivors\":-1"), std::string::npos);
 }
 
 TEST(ExplainTest, FailedQueryRendersErrorAndStatus) {

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <functional>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -239,6 +241,132 @@ TEST(SimulatorTest, RunKernelFailedComputeChargesNothing) {
   EXPECT_TRUE(
       sim.RunKernel(ProcessorKind::kGpu, OpClass::kJoin, 1 << 20, 0, NoWork)
           .ok());
+}
+
+// The reported-work contract: RunKernel charges the work `compute` reports
+// once it has run, not a size fixed before the kernel starts.
+SystemConfig WorkConfig() {
+  SystemConfig config = FastConfig();
+  config.cpu_throughput.scan_mbps = 100;
+  config.cpu_throughput.join_mbps = 50;
+  config.gpu_throughput.scan_mbps = 1000;
+  config.gpu_throughput.join_mbps = 500;
+  return config;
+}
+
+// 40,000 filter bytes at the scan rate, then 1,000 bytes at the join rate:
+// 400 + 20 single-core micros on the CPU, 40 + 2 on the device.
+Result<KernelWork> FilterThenJoin() {
+  return KernelWork{OpClass::kJoin, 1'000, 40'000};
+}
+
+TEST(RunKernelWorkTest, ChargesTheWorkReportedAfterCompute) {
+  Simulator sim(WorkConfig());
+  const std::vector<int> values = {5, 50, 7, 90, 60};
+  Result<Simulator::KernelWindow> window = sim.RunKernel(
+      ProcessorKind::kGpu, 0, [&]() -> Result<KernelWork> {
+        // The work depends on what the kernel found: 1,000 bytes per value
+        // that passes its filter.
+        size_t passed = 0;
+        for (int value : values) passed += value > 40 ? 1 : 0;
+        return KernelWork{OpClass::kJoin, 1'000 * passed, 40'000};
+      });
+  ASSERT_TRUE(window.ok());
+  EXPECT_DOUBLE_EQ(window->modeled_micros, 40 + 3 * 2);
+  EXPECT_EQ(sim.clock().total_charged_micros(), 46);
+}
+
+TEST(RunKernelWorkTest, CpuWorkIsDividedByTheSlotsTaken) {
+  for (int workers : {1, 4}) {
+    SystemConfig config = WorkConfig();
+    config.cpu_workers = workers;
+    Simulator sim(config);
+    // Alone on the host, the kernel takes every slot.
+    Result<Simulator::KernelWindow> window =
+        sim.RunKernel(ProcessorKind::kCpu, 0, FilterThenJoin);
+    ASSERT_TRUE(window.ok());
+    EXPECT_DOUBLE_EQ(window->modeled_micros, 420.0 / workers) << workers;
+    EXPECT_EQ(sim.clock().total_charged_micros(), 420 / workers);
+  }
+}
+
+TEST(RunKernelWorkTest, LatencyFactorStretchesTheReportedWork) {
+  SystemConfig config = WorkConfig();
+  config.cpu_workers = 4;
+  Simulator sim(config);
+  Result<Simulator::KernelWindow> gpu =
+      sim.RunKernel(ProcessorKind::kGpu, 0, FilterThenJoin, 3.0);
+  ASSERT_TRUE(gpu.ok());
+  EXPECT_DOUBLE_EQ(gpu->modeled_micros, 42 * 3.0);
+  Result<Simulator::KernelWindow> cpu =
+      sim.RunKernel(ProcessorKind::kCpu, 0, FilterThenJoin, 3.0);
+  ASSERT_TRUE(cpu.ok());
+  EXPECT_DOUBLE_EQ(cpu->modeled_micros, 420 * 3.0 / 4);
+  EXPECT_EQ(sim.clock().total_charged_micros(), 126 + 315);
+}
+
+TEST(RunKernelWorkTest, FailedComputeChargesNothingAndReleases) {
+  // On the timed clock the compute runs under the lock and slots: a failure
+  // must still release both.
+  SystemConfig config = WorkConfig();
+  config.simulate_time = true;
+  config.time_scale = 1.0;
+  config.cpu_workers = 1;
+  Simulator sim(config);
+  for (ProcessorKind processor : {ProcessorKind::kGpu, ProcessorKind::kCpu}) {
+    Result<Simulator::KernelWindow> failed = sim.RunKernel(
+        processor, 0,
+        []() -> Result<KernelWork> { return Status::Internal("kernel bug"); });
+    EXPECT_FALSE(failed.ok());
+    EXPECT_EQ(sim.clock().total_charged_micros(), 0);
+  }
+  for (ProcessorKind processor : {ProcessorKind::kGpu, ProcessorKind::kCpu}) {
+    EXPECT_TRUE(sim.RunKernel(processor, 0, [] {
+                     return Result<KernelWork>(KernelWork{OpClass::kJoin, 1'000});
+                   }).ok());
+  }
+  // 1,000 bytes at the join rate on each processor: 2 + 20 micros.
+  EXPECT_EQ(sim.clock().total_charged_micros(), 22);
+}
+
+TEST(RunKernelWorkTest, HostClockComputeRunsOutsideTheLockAndSlots) {
+  // time_scale 0: the clock is simulated but no modeled time passes, so the
+  // compute is plain host work. Two kernels on one device, or on a single
+  // CPU slot, are inside their computes at the same time.
+  SystemConfig config = WorkConfig();
+  config.simulate_time = true;
+  config.time_scale = 0;
+  config.cpu_workers = 1;
+  for (ProcessorKind processor : {ProcessorKind::kGpu, ProcessorKind::kCpu}) {
+    SCOPED_TRACE(ProcessorKindToString(processor));
+    Simulator sim(config);
+    std::mutex mutex;
+    std::condition_variable cv;
+    int inside = 0;
+    int overlapped = 0;
+    auto compute = [&]() -> Result<KernelWork> {
+      std::unique_lock<std::mutex> lock(mutex);
+      ++inside;
+      cv.notify_all();
+      // Bounded: a compute held under the lock or slot times out here.
+      if (cv.wait_for(lock, std::chrono::seconds(5),
+                      [&] { return inside >= 2; })) {
+        ++overlapped;
+      }
+      return KernelWork{OpClass::kJoin, 1'000};
+    };
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 2; ++t) {
+      threads.emplace_back([&] {
+        EXPECT_TRUE(sim.RunKernel(processor, 0, compute).ok());
+      });
+    }
+    for (auto& thread : threads) thread.join();
+    EXPECT_EQ(overlapped, 2);
+    // 1,000 bytes at the join rate, charged in full for each kernel.
+    EXPECT_EQ(sim.clock().total_charged_micros(),
+              processor == ProcessorKind::kGpu ? 2 * 2 : 2 * 20);
+  }
 }
 
 // Kernel-window semantics on the real clock. A GPU join at 100 MB/s over
