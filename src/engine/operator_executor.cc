@@ -13,11 +13,11 @@ namespace hetdb {
 namespace {
 
 /// Attributes one kernel window's modeled and host time, and the filter
-/// survivors the charge was computed from, to the node the calling thread
-/// is executing (no-op outside a QueryStatsScope).
+/// survivors and per-level probes the charge was computed from, to the node
+/// the calling thread is executing (no-op outside a QueryStatsScope).
 void AttributeKernelWindow(ProcessorKind processor,
                            const Simulator::KernelWindow& window,
-                           int64_t filter_survivors) {
+                           const KernelOutput& output) {
   NodeStats* stats = QueryStatsScope::current_node();
   if (stats == nullptr) return;
   auto& counter = processor == ProcessorKind::kGpu ? stats->gpu_kernel_micros
@@ -28,9 +28,11 @@ void AttributeKernelWindow(ProcessorKind processor,
   stats->host_kernel_micros.fetch_add(
       static_cast<int64_t>(std::ceil(window.host_micros)),
       std::memory_order_relaxed);
-  if (filter_survivors >= 0) {
-    stats->filter_survivors.store(filter_survivors, std::memory_order_relaxed);
+  if (output.filter_survivors >= 0) {
+    stats->filter_survivors.store(output.filter_survivors,
+                                  std::memory_order_relaxed);
   }
+  if (!output.probes.empty()) stats->set_probes(output.probes);
 }
 
 /// Runs `node`'s real kernel inside its modeled window on `processor`
@@ -52,7 +54,7 @@ Result<TablePtr> RunNodeKernel(const PlanNode& node,
             return output.work;
           },
           latency_factor));
-  AttributeKernelWindow(processor, window, output.filter_survivors);
+  AttributeKernelWindow(processor, window, output);
   // HyPE learns from *measured* durations (normalized back to modeled
   // units), so the model captures slot contention and queueing that the
   // analytical bootstrap cannot know about.

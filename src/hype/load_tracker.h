@@ -13,8 +13,9 @@ namespace hetdb {
 /// The paper's chopping executor "keeps track of the load on each processor
 /// by estimating the completion time of each processor's ready queue"
 /// (Section 5.2). Operators add their cost estimate when enqueued and remove
-/// it when they finish; the scheduler prefers the processor whose queue
-/// drains first.
+/// it when a worker picks them up, before they run, so the pending load
+/// covers queued operators only, not running ones; the scheduler prefers
+/// the processor whose queue drains first.
 class LoadTracker {
  public:
   LoadTracker() = default;
@@ -32,7 +33,8 @@ class LoadTracker {
         static_cast<int64_t>(estimated_micros), std::memory_order_relaxed);
   }
 
-  /// Estimated microseconds until the processor's queue drains.
+  /// Estimated microseconds of the operators waiting in the processor's
+  /// ready queue (operators already running are not counted).
   double PendingMicros(ProcessorKind processor) const {
     const int64_t value =
         pending_micros_[Index(processor)].load(std::memory_order_relaxed);

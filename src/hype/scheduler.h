@@ -18,6 +18,11 @@ namespace hetdb {
 ///   cost(CPU) = est_kernel(CPU) + queued(CPU) + transfer(device-resident in)
 ///   cost(GPU) = est_kernel(GPU) + queued(GPU) + transfer(host-resident in)
 ///
+/// `queued` is the LoadTracker's pending estimate: the operators still
+/// waiting in that processor's ready queue. An operator's estimate leaves it
+/// when a worker picks the operator up, so operators already running do not
+/// count.
+///
 /// Because run-time placement happens when all inputs are materialized,
 /// `input_bytes` is exact — the paper's key argument for why chopping makes
 /// cost models accurate (Section 5.2).

@@ -79,6 +79,7 @@ struct BoundChain {
   /// Every select member's CNF, compiled against the source table (all
   /// predicates are source-bound or binding declines).
   CompiledCnf conjuncts;
+  std::vector<ColumnPtr> filter_columns;  ///< source columns the CNF reads
   std::vector<BoundJoin> joins;  ///< bottom-up join levels
   std::vector<ComputedCol> computed;
   std::vector<SchemaCol> schema;  ///< output schema (non-aggregate terminal)
@@ -155,6 +156,11 @@ Result<BoundChain> BindChain(const std::vector<PlanNodePtr>& members,
             // name (the schema name may be a join alias).
             Predicate rewritten = atom;
             rewritten.column = col->binding.column->name();
+            if (std::find(bound.filter_columns.begin(),
+                          bound.filter_columns.end(),
+                          col->binding.column) == bound.filter_columns.end()) {
+              bound.filter_columns.push_back(col->binding.column);
+            }
             HETDB_ASSIGN_OR_RETURN(CompiledAtom compiled,
                                    CompileAtom(source, rewritten));
             atoms.push_back(compiled);
@@ -400,11 +406,13 @@ FusedJoinTable BuildJoinTable(const Column& key_col, size_t rows) {
 /// Depth-first nested probe from `level` for one surviving source row.
 /// Enumerates matches in (source asc, build_0 asc, build_1 asc, ...) order —
 /// exactly the lexicographic row order the unfused join cascade produces.
+/// `reached[level]` counts the rows that probe each level.
 void EmitMatches(const BoundChain& bound,
                  const std::vector<FusedJoinTable>& tables, size_t level,
-                 uint32_t src_row, uint32_t* cur,
+                 uint32_t src_row, uint32_t* cur, size_t* reached,
                  std::vector<uint32_t>* src_buf,
                  std::vector<std::vector<uint32_t>>* lvl_buf) {
+  ++reached[level];
   const BoundJoin& join = bound.joins[level];
   const size_t key_row = join.probe_key.kind == Binding::Kind::kSource
                              ? src_row
@@ -419,7 +427,8 @@ void EmitMatches(const BoundChain& bound,
         (*lvl_buf)[j].push_back(cur[j]);
       }
     } else {
-      EmitMatches(bound, tables, level + 1, src_row, cur, src_buf, lvl_buf);
+      EmitMatches(bound, tables, level + 1, src_row, cur, reached, src_buf,
+                  lvl_buf);
     }
   }
 }
@@ -739,11 +748,17 @@ Result<TablePtr> AggregateMatches(
 // Fused evaluation
 // ---------------------------------------------------------------------------
 
-/// Runs the bound chain; `*survivors` receives the number of source rows
-/// that passed the compiled CNF (all of them when the chain has none).
+/// The rows one fused pass carried through each of its stages.
+struct ChainCounts {
+  size_t survivors = 0;         ///< source rows that passed the CNF
+  std::vector<size_t> reached;  ///< rows that probed each join level
+  size_t matches = 0;           ///< rows that reached the terminal
+};
+
+/// Runs the bound chain, counting into `*counts` the rows each stage saw.
 Result<TablePtr> EvaluateBoundChain(const BoundChain& bound,
                                     const std::vector<TablePtr>& inputs,
-                                    KernelStats& stats, size_t* survivors) {
+                                    KernelStats& stats, ChainCounts* counts) {
   const Table& source = *inputs[0];
   const size_t n = source.num_rows();
   const size_t num_joins = bound.joins.size();
@@ -765,6 +780,7 @@ Result<TablePtr> EvaluateBoundChain(const BoundChain& bound,
   std::vector<std::vector<uint32_t>> morsel_src(num_morsels);
   std::vector<std::vector<std::vector<uint32_t>>> morsel_levels(num_morsels);
   std::vector<size_t> morsel_survivors(num_morsels, 0);
+  std::vector<size_t> morsel_reached(num_morsels * num_joins, 0);
   std::vector<std::vector<uint8_t>> keep_scratch(max_workers);
   std::vector<std::vector<uint8_t>> dis_scratch(max_workers);
   std::vector<std::vector<uint32_t>> surv_scratch(max_workers);
@@ -792,6 +808,7 @@ Result<TablePtr> EvaluateBoundChain(const BoundChain& bound,
     }
     morsel_survivors[m] = survivors;
     if (survivors == 0) return;
+    size_t* reached = morsel_reached.data() + m * num_joins;
     std::vector<uint32_t>& src_buf = morsel_src[m];
     std::vector<std::vector<uint32_t>>& lvl_buf = morsel_levels[m];
     lvl_buf.resize(num_joins);
@@ -808,6 +825,7 @@ Result<TablePtr> EvaluateBoundChain(const BoundChain& bound,
       const BoundJoin& join = bound.joins[0];
       const FusedJoinTable& jt = tables[0];
       std::vector<uint32_t>& lvl0 = lvl_buf[0];
+      reached[0] = survivors;
       for (size_t s = 0; s < survivors; ++s) {
         const uint32_t i = surv[s];
         const int64_t key = join.KeyAt(i);
@@ -819,7 +837,8 @@ Result<TablePtr> EvaluateBoundChain(const BoundChain& bound,
       return;
     }
     for (size_t s = 0; s < survivors; ++s) {
-      EmitMatches(bound, tables, 0, surv[s], cur.data(), &src_buf, &lvl_buf);
+      EmitMatches(bound, tables, 0, surv[s], cur.data(), reached, &src_buf,
+                  &lvl_buf);
     }
   };
 
@@ -833,8 +852,12 @@ Result<TablePtr> EvaluateBoundChain(const BoundChain& bound,
     }
   }
   RecordLoop(stats, n, morsel, workers);
-  *survivors = 0;
-  for (size_t count : morsel_survivors) *survivors += count;
+  counts->survivors = 0;
+  for (size_t count : morsel_survivors) counts->survivors += count;
+  counts->reached.assign(num_joins, 0);
+  for (size_t i = 0; i < morsel_reached.size(); ++i) {
+    counts->reached[i % num_joins] += morsel_reached[i];
+  }
 
   // Stage 2: prefix-sum concat of the per-morsel buffers — morsel order is
   // source-row order, so the global match list is ascending.
@@ -843,6 +866,7 @@ Result<TablePtr> EvaluateBoundChain(const BoundChain& bound,
     off[m + 1] = off[m] + morsel_src[m].size();
   }
   const size_t total = off[num_morsels];
+  counts->matches = total;
   std::vector<uint32_t> src_rows(total);
   std::vector<std::vector<uint32_t>> level_rows(
       num_joins, std::vector<uint32_t>(total));
@@ -862,6 +886,75 @@ Result<TablePtr> EvaluateBoundChain(const BoundChain& bound,
     return AggregateMatches(bound, src_rows, level_rows);
   }
   return MaterializeMatches(bound, src_rows, level_rows);
+}
+
+/// Bytes of `rows` rows of `column`, each read at the column's value width
+/// (a string column's code), not at the sector the read touches.
+size_t ReadBytes(const Column& column, size_t rows) {
+  return DataTypeWidth(column.type()) * rows;
+}
+
+/// The columns the terminal reads for every match: the aggregate's group
+/// keys and inputs, or every gathered output column; a computed column reads
+/// its expression's inputs. Each (column, level) once.
+std::vector<Binding> TerminalReads(const BoundChain& bound) {
+  std::vector<Binding> reads;
+  auto add_physical = [&reads](const Binding& b) {
+    for (const Binding& seen : reads) {
+      if (seen.column == b.column && seen.build_level == b.build_level) return;
+    }
+    reads.push_back(b);
+  };
+  auto add = [&](const Binding& b) {
+    if (b.kind != Binding::Kind::kComputed) {
+      add_physical(b);
+      return;
+    }
+    const ComputedCol& cc = bound.computed[b.computed];
+    add_physical(cc.left);
+    if (!cc.expr.right_column.empty()) add_physical(cc.right);
+  };
+  if (bound.aggregate != nullptr) {
+    for (const Binding& b : bound.group_bindings) add(b);
+    for (const AggBinding& ab : bound.agg_bindings) {
+      if (!ab.count_star) add(ab.binding);
+    }
+  } else {
+    for (const SchemaCol& col : bound.schema) add(col.binding);
+  }
+  return reads;
+}
+
+/// The work of one fused pass: each column the kernel read, for the rows it
+/// read, at the rate of the stage that read it — the filter's columns for
+/// every source row at the scan rate; each level's probe key for the rows
+/// that reached it, plus the build tables in full, at the join rate; the
+/// terminal's columns for every match at the top member's rate.
+KernelWork ChainWork(const BoundChain& bound,
+                     const std::vector<TablePtr>& inputs,
+                     const ChainCounts& counts, OpClass terminal_class) {
+  KernelWork work;
+  if (!bound.conjuncts.empty()) {
+    size_t bytes = 0;
+    for (const ColumnPtr& column : bound.filter_columns) {
+      bytes += ReadBytes(*column, inputs[0]->num_rows());
+    }
+    work.stages.push_back({OpClass::kScan, bytes});
+  }
+  if (!bound.joins.empty()) {
+    size_t bytes = 0;
+    for (size_t j = 0; j < bound.joins.size(); ++j) {
+      bytes += ReadBytes(*bound.joins[j].probe_key.column, counts.reached[j]) +
+               inputs[1 + j]->data_bytes();
+    }
+    work.stages.push_back({OpClass::kJoin, bytes});
+  }
+  size_t bytes = 0;
+  for (const Binding& read : TerminalReads(bound)) {
+    bytes += ReadBytes(*read.column, counts.matches);
+  }
+  work.stages.push_back({terminal_class, bytes});
+  return work;
 }
 
 }  // namespace
@@ -914,7 +1007,7 @@ std::string FusedPipelineNode::label() const {
 }
 
 Result<TablePtr> FusedPipelineNode::ReplayMembers(
-    const std::vector<TablePtr>& inputs) const {
+    const std::vector<TablePtr>& inputs, KernelWork* work) const {
   TablePtr current = inputs[0];
   size_t next_build = 1;
   for (const PlanNodePtr& member : members_) {
@@ -924,6 +1017,8 @@ Result<TablePtr> FusedPipelineNode::ReplayMembers(
     } else {
       member_inputs = {current};
     }
+    work->stages.push_back(
+        {member->op_class(), member->InputBytes(member_inputs)});
     HETDB_ASSIGN_OR_RETURN(current, member->ComputeResult(member_inputs));
   }
   return current;
@@ -944,31 +1039,24 @@ Result<KernelOutput> FusedPipelineNode::ComputeWithWork(
     HETDB_CHECK(input != nullptr);
   }
   KernelOutput output;
-  output.work = {op_class(), InputBytes(inputs)};
   Result<BoundChain> bound = BindChain(members_, inputs);
   if (!bound.ok()) {
     // Shape the fused evaluator does not handle (or a genuine query error):
-    // replay the members operator-at-a-time for exact unfused semantics.
-    HETDB_ASSIGN_OR_RETURN(output.table, ReplayMembers(inputs));
+    // replay the members operator-at-a-time for exact unfused semantics,
+    // charged as the unfused operators are.
+    HETDB_ASSIGN_OR_RETURN(output.table, ReplayMembers(inputs, &output.work));
     return output;
   }
-  size_t survivors = 0;
-  HETDB_ASSIGN_OR_RETURN(output.table, EvaluateBoundChain(bound.value(), inputs,
-                                                          stats, &survivors));
-  if (bound->conjuncts.empty()) return output;
-  // One pass over the source: the filter reads all of it at the scan rate;
-  // only its survivors go on to the probe walk and the terminal, which run
-  // at the pipeline's class rate together with the build sides.
-  const Table& source = *inputs[0];
-  const size_t survivor_bytes =
-      source.num_rows() == 0
-          ? 0
-          : static_cast<size_t>(static_cast<double>(source.data_bytes()) *
-                                static_cast<double>(survivors) /
-                                static_cast<double>(source.num_rows()));
-  output.work.filter_bytes = source.data_bytes();
-  output.work.bytes -= source.data_bytes() - survivor_bytes;
-  output.filter_survivors = static_cast<int64_t>(survivors);
+  ChainCounts counts;
+  HETDB_ASSIGN_OR_RETURN(output.table,
+                         EvaluateBoundChain(bound.value(), inputs, stats,
+                                            &counts));
+  output.work =
+      ChainWork(bound.value(), inputs, counts, members_.back()->op_class());
+  if (!bound->conjuncts.empty()) {
+    output.filter_survivors = static_cast<int64_t>(counts.survivors);
+  }
+  output.probes.assign(counts.reached.begin(), counts.reached.end());
   return output;
 }
 

@@ -44,12 +44,13 @@ class FusedPipelineNode : public PlanNode {
   OpClass op_class() const override;
   Result<TablePtr> ComputeResult(
       const std::vector<TablePtr>& inputs) const override;
-  /// With a filter member, the kernel's work is the one pass it makes: the
-  /// filter over all source bytes at the scan rate, then the probe walk and
-  /// terminal over the surviving rows' share of the source plus the build
-  /// bytes, at `op_class()`'s rate. Without one (or when the members are
-  /// replayed one at a time) it is the default: every input byte at
-  /// `op_class()`'s rate.
+  /// The kernel's work is each column it read, for the rows it read, at the
+  /// rate of the stage that read it: the filter's columns over every source
+  /// row at the scan rate; each join level's probe key over the rows that
+  /// reached it, plus the build tables in full, at the join rate; and the
+  /// columns the terminal aggregates or gathers over every match, at the
+  /// top member's rate. Members replayed one at a time are charged as the
+  /// unfused operators are: each one's input bytes at its class rate.
   Result<KernelOutput> ComputeWithWork(
       const std::vector<TablePtr>& inputs) const override;
   size_t IntermediateDeviceBytes(
@@ -63,8 +64,10 @@ class FusedPipelineNode : public PlanNode {
 
  private:
   /// Operator-at-a-time fallback: executes the members one by one exactly
-  /// as the unfused plan would (used when runtime binding declines).
-  Result<TablePtr> ReplayMembers(const std::vector<TablePtr>& inputs) const;
+  /// as the unfused plan would (used when runtime binding declines), adding
+  /// each member's per-operator stage to `*work`.
+  Result<TablePtr> ReplayMembers(const std::vector<TablePtr>& inputs,
+                                 KernelWork* work) const;
 
   std::vector<PlanNodePtr> members_;
   size_t num_joins_ = 0;

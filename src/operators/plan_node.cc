@@ -32,7 +32,7 @@ Result<KernelOutput> PlanNode::ComputeWithWork(
     const std::vector<TablePtr>& inputs) const {
   KernelOutput output;
   HETDB_ASSIGN_OR_RETURN(output.table, ComputeResult(inputs));
-  output.work = {op_class(), InputBytes(inputs)};
+  output.work = KernelWork{{{op_class(), InputBytes(inputs)}}};
   return output;
 }
 

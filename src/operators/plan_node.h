@@ -41,6 +41,9 @@ struct KernelOutput {
   /// Source rows that passed a fused pipeline's filter pass; -1 for a
   /// kernel without one.
   int64_t filter_survivors = -1;
+  /// Rows that reached each join level of a fused pipeline, bottom-up;
+  /// empty for a kernel without a fused probe.
+  std::vector<int64_t> probes;
 };
 
 /// A node of the operator-at-a-time physical query plan.
@@ -71,8 +74,8 @@ class PlanNode {
   virtual Result<TablePtr> ComputeResult(
       const std::vector<TablePtr>& inputs) const = 0;
 
-  /// ComputeResult plus the work the kernel did. By default that is all of
-  /// `InputBytes(inputs)` at the rate of `op_class()`.
+  /// ComputeResult plus the work the kernel did. By default that is one
+  /// stage: all of `InputBytes(inputs)` at the rate of `op_class()`.
   virtual Result<KernelOutput> ComputeWithWork(
       const std::vector<TablePtr>& inputs) const;
 

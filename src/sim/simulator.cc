@@ -119,11 +119,13 @@ Result<Simulator::KernelWindow> Simulator::RunKernel(
   if (timed) run_compute();
   if (work.ok()) {
     // The duration follows the work the kernel reports having done, known
-    // only now: a fused pipeline's probe stage covers its filter survivors.
-    window.modeled_micros =
-        (EstimateComputeMicros(processor, OpClass::kScan, work->filter_bytes) +
-         EstimateComputeMicros(processor, work->op_class, work->bytes)) *
-        latency_factor / slots;
+    // only now: a fused pipeline's later stages cover the rows that reached
+    // them.
+    double micros = 0;
+    for (const KernelStage& stage : work->stages) {
+      micros += EstimateComputeMicros(processor, stage.op_class, stage.bytes);
+    }
+    window.modeled_micros = micros * latency_factor / slots;
     clock_.ChargeRest(window.modeled_micros, window.host_micros);
   }
   if (processor == ProcessorKind::kCpu) cpu_slots_.Release(slots);
@@ -138,7 +140,7 @@ Result<Simulator::KernelWindow> Simulator::RunKernel(
       processor, device,
       [&]() -> Result<KernelWork> {
         HETDB_RETURN_NOT_OK(compute());
-        return KernelWork{op_class, input_bytes};
+        return KernelWork{{{op_class, input_bytes}}};
       },
       latency_factor);
 }

@@ -26,14 +26,18 @@ const char* ProcessorKindToString(ProcessorKind kind);
 /// Operator cost classes, mapping to ThroughputTable entries.
 enum class OpClass { kScan, kJoin, kAggregate, kSort, kProject, kMaterialize };
 
-/// The data one kernel passed, which its modeled duration is computed from:
-/// `bytes` at the rate of `op_class`, after a filter pass over
-/// `filter_bytes` at the scan rate. Only a fused pipeline with a filter has
-/// a filter pass; its main stage then covers just the rows that survived.
-struct KernelWork {
+/// One stage of a kernel's work: `bytes` read at the rate of `op_class`.
+struct KernelStage {
   OpClass op_class = OpClass::kScan;
   size_t bytes = 0;
-  size_t filter_bytes = 0;
+};
+
+/// The data one kernel read, which its modeled duration is computed from:
+/// the sum of its stages' durations. Every kernel but a fused pipeline has
+/// one stage, its input bytes at its class rate; a fused pipeline reports a
+/// stage per kind of read it makes (filter, probe, terminal).
+struct KernelWork {
+  std::vector<KernelStage> stages;
 };
 
 /// Simple counting semaphore (std::counting_semaphore needs a compile-time

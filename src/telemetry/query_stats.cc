@@ -51,6 +51,16 @@ std::string FormatMillis(int64_t micros) {
 
 QueryStats::QueryStats() : query_id_(Telemetry::NextQueryId()) {}
 
+void NodeStats::set_probes(std::vector<int64_t> probes) {
+  std::lock_guard<std::mutex> lock(probes_mutex_);
+  probes_ = std::move(probes);
+}
+
+std::vector<int64_t> NodeStats::probes() const {
+  std::lock_guard<std::mutex> lock(probes_mutex_);
+  return probes_;
+}
+
 NodeStats* QueryStats::AddNode(const void* key, const void* parent_key,
                                std::string op, std::string label) {
   auto node = std::make_unique<NodeStats>();
@@ -234,6 +244,10 @@ std::string QueryStats::ToText() const {
       const int64_t survivors =
           node.filter_survivors.load(std::memory_order_relaxed);
       if (survivors >= 0) os << " survivors=" << survivors;
+      const std::vector<int64_t> probes = node.probes();
+      for (size_t level = 0; level < probes.size(); ++level) {
+        os << (level == 0 ? " probes=" : "/") << probes[level];
+      }
       const int64_t cpu_us =
           node.cpu_kernel_micros.load(std::memory_order_relaxed);
       const int64_t gpu_us =
@@ -324,7 +338,12 @@ std::string QueryStats::ToJson() const {
        << ",\"rows_out\":" << node.rows_out.load(std::memory_order_relaxed)
        << ",\"survivors\":"
        << node.filter_survivors.load(std::memory_order_relaxed)
-       << ",\"cpu_kernel_us\":"
+       << ",\"probes\":[";
+    const std::vector<int64_t> probes = node.probes();
+    for (size_t level = 0; level < probes.size(); ++level) {
+      os << (level == 0 ? "" : ",") << probes[level];
+    }
+    os << "],\"cpu_kernel_us\":"
        << node.cpu_kernel_micros.load(std::memory_order_relaxed)
        << ",\"gpu_kernel_us\":"
        << node.gpu_kernel_micros.load(std::memory_order_relaxed)

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -19,7 +20,8 @@ using QueryStatsPtr = std::shared_ptr<QueryStats>;
 ///
 /// Identity fields (`index`, `parent`, `label`, `op`) are fixed at
 /// registration, before execution starts; everything else is a relaxed
-/// atomic so chopping workers can attribute concurrently without a latch.
+/// atomic so chopping workers can attribute concurrently without a latch,
+/// except the per-level probe counts, a short list behind its own mutex.
 /// Processors are stored as ints (0 = CPU, 1 = GPU, -1 = never ran) so this
 /// header stays free of engine/sim dependencies — it is included from the
 /// PCIe bus and the device allocator, which sit *below* the operator layer.
@@ -31,8 +33,8 @@ struct NodeStats {
 
   std::atomic<int64_t> rows_in{-1};   ///< -1 until the operator ran
   std::atomic<int64_t> rows_out{-1};
-  /// Source rows that passed a fused pipeline's filter: the rows its probe
-  /// stage is charged for. -1 for nodes without a filter pass.
+  /// Source rows that passed a fused pipeline's filter: the rows its first
+  /// probe level is charged for. -1 for nodes without a filter pass.
   std::atomic<int64_t> filter_survivors{-1};
   std::atomic<int64_t> cpu_kernel_micros{0};  ///< modeled kernel time
   std::atomic<int64_t> gpu_kernel_micros{0};
@@ -59,6 +61,15 @@ struct NodeStats {
   /// Device the operator finally ran on (-1 for CPU / never ran). Stored as
   /// an int for the same layering reason as `ran_on`.
   std::atomic<int> device{-1};
+
+  /// Rows that probed each join level of a fused pipeline, bottom-up (what
+  /// each level's probe key is charged for); empty for other nodes.
+  void set_probes(std::vector<int64_t> probes);
+  std::vector<int64_t> probes() const;
+
+ private:
+  mutable std::mutex probes_mutex_;
+  std::vector<int64_t> probes_;
 };
 
 /// Resource attribution for one query execution: per-plan-node NodeStats

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -473,8 +474,32 @@ TEST_F(FusedPipelineTest, FusedNodeChargesOnlyBuildTables) {
 }
 
 // ---------------------------------------------------------------------------
-// Modeled charge: the one pass the fused kernel makes
+// Modeled charge: each column a fused kernel reads, for the rows it reads
 // ---------------------------------------------------------------------------
+
+/// A plan subtree's result, evaluated on the host: the inputs the engine
+/// hands the subtree's parent.
+TablePtr EvaluateOnHost(const PlanNodePtr& node) {
+  std::vector<TablePtr> inputs;
+  for (const PlanNodePtr& child : node->children()) {
+    inputs.push_back(EvaluateOnHost(child));
+  }
+  return node->ComputeResult(inputs).value();
+}
+
+/// Bytes of `rows` values of `type`: a read charged at its column's width.
+size_t ValueBytes(DataType type, size_t rows) {
+  return DataTypeWidth(type) * rows;
+}
+
+void ExpectStages(const KernelWork& work,
+                  const std::vector<KernelStage>& expected) {
+  ASSERT_EQ(work.stages.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(work.stages[i].op_class, expected[i].op_class) << "stage " << i;
+    EXPECT_EQ(work.stages[i].bytes, expected[i].bytes) << "stage " << i;
+  }
+}
 
 TEST_F(FusedPipelineTest, FilteredPipelineReportsItsOnePassWork) {
   KernelScope scope(KernelBackend::kMorselParallel, 2, 16, /*fusion=*/true);
@@ -484,20 +509,26 @@ TEST_F(FusedPipelineTest, FilteredPipelineReportsItsOnePassWork) {
   TablePtr dim = ScanDim()->ComputeResult({}).value();
   Result<KernelOutput> output = fused->ComputeWithWork({fact, dim});
   ASSERT_TRUE(output.ok()) << output.status().ToString();
+  const size_t rows = fact->num_rows();
   const std::vector<int32_t>& v =
       static_cast<const Int32Column&>(*fact->GetColumn("v").value()).values();
   const auto kept = static_cast<size_t>(std::count_if(
       v.begin(), v.end(), [](int32_t x) { return x > 10 && x < 60; }));
-  ASSERT_LT(kept, fact->num_rows());
+  ASSERT_LT(kept, rows);
   EXPECT_EQ(output->filter_survivors, static_cast<int64_t>(kept));
-  // The filter reads the whole source; the probe only the survivors' share.
-  EXPECT_EQ(output->work.op_class, OpClass::kJoin);
-  EXPECT_EQ(output->work.filter_bytes, fact->data_bytes());
-  EXPECT_EQ(output->work.bytes,
-            fact->data_bytes() * kept / fact->num_rows() + dim->data_bytes());
+  EXPECT_EQ(output->probes, std::vector<int64_t>{static_cast<int64_t>(kept)});
+  // The filter reads v for every row; the probe reads fk for the survivors
+  // plus the whole build side; every survivor matches one dim row, and the
+  // aggregate reads its group key (name) and its input (v) per match.
+  ExpectStages(output->work,
+               {{OpClass::kScan, ValueBytes(DataType::kInt32, rows)},
+                {OpClass::kJoin,
+                 ValueBytes(DataType::kInt32, kept) + dim->data_bytes()},
+                {OpClass::kAggregate, ValueBytes(DataType::kString, kept) +
+                                          ValueBytes(DataType::kInt32, kept)}});
 
-  // Without a filter member the work is the default: every input byte at
-  // the pipeline's class rate.
+  // Without a filter member there is no filter stage, and the probe reads
+  // fk for every source row.
   JoinOutputSpec spec;
   spec.build_columns = {"name"};
   spec.probe_columns = {"v"};
@@ -509,18 +540,95 @@ TEST_F(FusedPipelineTest, FilteredPipelineReportsItsOnePassWork) {
   output = unfiltered->ComputeWithWork({fact, dim});
   ASSERT_TRUE(output.ok()) << output.status().ToString();
   EXPECT_EQ(output->filter_survivors, -1);
-  EXPECT_EQ(output->work.filter_bytes, 0u);
-  EXPECT_EQ(output->work.bytes, unfiltered->InputBytes({fact, dim}));
+  EXPECT_EQ(output->probes, std::vector<int64_t>{static_cast<int64_t>(rows)});
+  ExpectStages(output->work,
+               {{OpClass::kJoin,
+                 ValueBytes(DataType::kInt32, rows) + dim->data_bytes()},
+                {OpClass::kAggregate, ValueBytes(DataType::kString, rows) +
+                                          ValueBytes(DataType::kInt32, rows)}});
 }
 
-/// A plan subtree's result, evaluated on the host: the inputs the engine
-/// hands the subtree's parent.
-TablePtr EvaluateOnHost(const PlanNodePtr& node) {
-  std::vector<TablePtr> inputs;
-  for (const PlanNodePtr& child : node->children()) {
-    inputs.push_back(EvaluateOnHost(child));
+TEST_F(FusedPipelineTest, SecondProbeKeyIsChargedOnlyForFirstLevelMatches) {
+  KernelScope scope(KernelBackend::kMorselParallel, 2, 16, /*fusion=*/true);
+  // Level 0 keeps the fact rows whose fk is 1 or 2; level 1 probes dim again
+  // with v, and the aggregate counts the matches per level-1 name.
+  PlanNodePtr selective_dim = std::make_shared<SelectNode>(
+      ScanDim(), ConjunctiveFilter::And({Predicate::Lt("key", int64_t{3})}));
+  JoinOutputSpec first;
+  first.build_columns = {"name"};
+  first.probe_columns = {"v"};
+  JoinOutputSpec second;
+  second.build_columns = {"name"};
+  second.build_aliases = {"v_name"};
+  second.probe_columns = {"name"};
+  PlanNodePtr plan = std::make_shared<AggregateNode>(
+      std::make_shared<JoinNode>(
+          ScanDim(),
+          std::make_shared<JoinNode>(selective_dim, ScanFact(), "key", "fk",
+                                     first),
+          "key", "v", second),
+      std::vector<std::string>{"v_name"},
+      std::vector<AggregateSpec>{{AggregateFn::kCount, "", "n"}});
+  PlanNodePtr fused = FusePipelines(plan);
+  ASSERT_EQ(fused->op(), PlanOp::kFusedPipeline);
+  ASSERT_EQ(static_cast<const FusedPipelineNode&>(*fused).num_joins(), 2u);
+
+  TablePtr fact = ScanFact()->ComputeResult({}).value();
+  TablePtr small = EvaluateOnHost(selective_dim);
+  TablePtr dim = ScanDim()->ComputeResult({}).value();
+  Result<KernelOutput> output = fused->ComputeWithWork({fact, small, dim});
+  ASSERT_TRUE(output.ok()) << output.status().ToString();
+  ExpectBitIdenticalTables(EvaluateOnHost(plan), output->table);
+
+  const std::vector<int32_t>& fk =
+      static_cast<const Int32Column&>(*fact->GetColumn("fk").value()).values();
+  const std::vector<int32_t>& v =
+      static_cast<const Int32Column&>(*fact->GetColumn("v").value()).values();
+  size_t first_matches = 0;
+  size_t final_matches = 0;
+  for (size_t i = 0; i < fact->num_rows(); ++i) {
+    if (fk[i] >= 3) continue;
+    ++first_matches;
+    if (v[i] >= 1 && v[i] <= 10) ++final_matches;
   }
-  return node->ComputeResult(inputs).value();
+  ASSERT_LT(first_matches, fact->num_rows() / 4);
+  ASSERT_GT(final_matches, 0u);
+  EXPECT_EQ(output->filter_survivors, -1);
+  EXPECT_EQ(output->probes,
+            (std::vector<int64_t>{static_cast<int64_t>(fact->num_rows()),
+                                  static_cast<int64_t>(first_matches)}));
+  // v, the level-1 key, is read for the level-0 matches only, not for every
+  // fact row as a whole-input charge would have it.
+  ExpectStages(
+      output->work,
+      {{OpClass::kJoin, ValueBytes(DataType::kInt32, fact->num_rows()) +
+                            ValueBytes(DataType::kInt32, first_matches) +
+                            small->data_bytes() + dim->data_bytes()},
+       {OpClass::kAggregate, ValueBytes(DataType::kString, final_matches)}});
+}
+
+TEST_F(FusedPipelineTest, ReplayedMembersAreChargedAsUnfusedOperators) {
+  // A filter on a computed column is not source-bound, so runtime binding
+  // declines and the members run one at a time: each one is charged its
+  // input bytes at its class rate, as the unfused operator is.
+  PlanNodePtr project = std::make_shared<ProjectNode>(
+      ScanFact(), std::vector<std::string>{"fk"},
+      std::vector<ArithmeticExpr>{ArithmeticExpr::ColumnOp(
+          "vw", ArithmeticExpr::Op::kMul, "v", "fk")});
+  PlanNodePtr select = std::make_shared<SelectNode>(
+      project, ConjunctiveFilter::And({Predicate::Lt("vw", int64_t{100})}));
+  FusedPipelineNode fused({ScanFact()}, {project, select});
+  TablePtr fact = ScanFact()->ComputeResult({}).value();
+  TablePtr projected = project->ComputeResult({fact}).value();
+  Result<KernelOutput> output = fused.ComputeWithWork({fact});
+  ASSERT_TRUE(output.ok()) << output.status().ToString();
+  ExpectBitIdenticalTables(select->ComputeResult({projected}).value(),
+                           output->table);
+  EXPECT_EQ(output->filter_survivors, -1);
+  EXPECT_TRUE(output->probes.empty());
+  ExpectStages(output->work,
+               {{OpClass::kProject, project->InputBytes({fact})},
+                {OpClass::kScan, select->InputBytes({projected})}});
 }
 
 /// Every throughput 1000x below the defaults: a query's kernel windows are
@@ -542,72 +650,216 @@ SystemConfig SlowRateConfig() {
   return config;
 }
 
-// The invariant of fusion on the modeled clock: a fused plan is charged no
-// more than its unfused chain. Charging the whole source and build bytes at
-// the join rate broke it for Q1.1-Q1.3 (~2.3x), whose filter drops most of
-// lineorder before the probe. Pipelines without a filter keep the
-// per-operator rule exactly: each kernel's input bytes at its class rate.
+/// The single-slot micros the stage rule charges `node` on `processor`,
+/// derived without the fused kernel: the rows that reach each stage are the
+/// rows the unfused member chain, evaluated on the host, feeds the member
+/// that reads them; the columns come from the members' definitions.
+double StageRuleMicros(const FusedPipelineNode& node,
+                       const Simulator& estimator, ProcessorKind processor) {
+  // What each pipeline column reads: one physical column, or a computed
+  // column's inputs. `id` names the table a column lives in and its name.
+  struct Read {
+    std::string id;
+    DataType type;
+  };
+  auto add_unique = [](std::vector<Read>* list, const std::vector<Read>& more) {
+    for (const Read& read : more) {
+      if (std::none_of(list->begin(), list->end(),
+                       [&](const Read& r) { return r.id == read.id; })) {
+        list->push_back(read);
+      }
+    }
+  };
+  std::map<std::string, std::vector<Read>> reads;
+  TablePtr current = EvaluateOnHost(node.children()[0]);
+  const size_t source_rows = current->num_rows();
+  for (const ColumnPtr& column : current->columns()) {
+    reads[column->name()] = {{"source." + column->name(), column->type()}};
+  }
+  std::vector<Read> filter;
+  size_t probe_bytes = 0;
+  std::vector<Read> terminal;
+  size_t terminal_rows = 0;
+  size_t level = 0;
+  for (const PlanNodePtr& member : node.members()) {
+    std::vector<TablePtr> inputs = {current};
+    switch (member->op()) {
+      case PlanOp::kSelect:
+        for (const Disjunction& disjunction :
+             static_cast<const SelectNode&>(*member).filter().conjuncts) {
+          for (const Predicate& atom : disjunction.atoms) {
+            add_unique(&filter, reads.at(atom.column));
+          }
+        }
+        break;
+      case PlanOp::kJoin: {
+        const auto& join = static_cast<const JoinNode&>(*member);
+        TablePtr build = EvaluateOnHost(node.children()[1 + level]);
+        probe_bytes += ValueBytes(reads.at(join.probe_key()).front().type,
+                                  current->num_rows()) +
+                       build->data_bytes();
+        const JoinOutputSpec& spec = join.output_spec();
+        std::map<std::string, std::vector<Read>> next;
+        for (size_t i = 0; i < spec.build_columns.size(); ++i) {
+          const std::string& name = spec.build_columns[i];
+          next[spec.build_aliases.empty() ? name : spec.build_aliases[i]] = {
+              {"level" + std::to_string(level) + "." + name,
+               build->GetColumn(name).value()->type()}};
+        }
+        for (size_t i = 0; i < spec.probe_columns.size(); ++i) {
+          const std::string& name = spec.probe_columns[i];
+          next[spec.probe_aliases.empty() ? name : spec.probe_aliases[i]] =
+              reads.at(name);
+        }
+        reads = std::move(next);
+        inputs = {build, current};
+        ++level;
+        break;
+      }
+      case PlanOp::kProject: {
+        const auto& project = static_cast<const ProjectNode&>(*member);
+        std::map<std::string, std::vector<Read>> next;
+        for (const std::string& name : project.keep_columns()) {
+          next[name] = reads.at(name);
+        }
+        for (const ArithmeticExpr& expr : project.expressions()) {
+          std::vector<Read>& computed = next[expr.output_name];
+          add_unique(&computed, reads.at(expr.left_column));
+          if (!expr.right_column.empty()) {
+            add_unique(&computed, reads.at(expr.right_column));
+          }
+        }
+        reads = std::move(next);
+        break;
+      }
+      case PlanOp::kAggregate: {
+        const auto& agg = static_cast<const AggregateNode&>(*member);
+        for (const std::string& name : agg.group_by()) {
+          add_unique(&terminal, reads.at(name));
+        }
+        for (const AggregateSpec& spec : agg.aggregates()) {
+          if (!spec.input_column.empty()) {
+            add_unique(&terminal, reads.at(spec.input_column));
+          }
+        }
+        terminal_rows = current->num_rows();
+        break;
+      }
+      default:
+        ADD_FAILURE() << "unfusable member " << member->label();
+    }
+    current = member->ComputeResult(inputs).value();
+  }
+  if (node.members().back()->op() != PlanOp::kAggregate) {
+    for (const ColumnPtr& column : current->columns()) {
+      add_unique(&terminal, reads.at(column->name()));
+    }
+    terminal_rows = current->num_rows();
+  }
+  double micros = 0;
+  if (!filter.empty()) {
+    size_t bytes = 0;
+    for (const Read& read : filter) bytes += ValueBytes(read.type, source_rows);
+    micros += estimator.EstimateComputeMicros(processor, OpClass::kScan, bytes);
+  }
+  if (level > 0) {
+    micros +=
+        estimator.EstimateComputeMicros(processor, OpClass::kJoin, probe_bytes);
+  }
+  size_t bytes = 0;
+  for (const Read& read : terminal) bytes += ValueBytes(read.type, terminal_rows);
+  return micros + estimator.EstimateComputeMicros(
+                      processor, node.members().back()->op_class(), bytes);
+}
+
+/// Runs `raw` unfused and fused under `strategy` on `SlowRateConfig` and
+/// checks the invariant of fusion on the modeled clock, a fused plan charged
+/// no more than its unfused chain, and the two charge rules exactly: every
+/// unfused kernel its input bytes at its class rate, every fused kernel the
+/// stage rule's `StageRuleMicros`, each divided by the slots it ran on.
+void ExpectFusedChargeRules(const DatabasePtr& db, const PlanNodePtr& raw,
+                            Strategy strategy) {
+  const SystemConfig config = SlowRateConfig();
+  const ProcessorKind processor = strategy == Strategy::kCpuOnly
+                                      ? ProcessorKind::kCpu
+                                      : ProcessorKind::kGpu;
+  // A query alone on the host runs each CPU kernel on every slot.
+  const int slots = processor == ProcessorKind::kCpu ? config.cpu_workers : 1;
+  auto charge = [&](bool fusion, PlanNodePtr* plan,
+                    QueryStatsPtr* stats) -> int64_t {
+    FusionScope scope(fusion);
+    EngineContext ctx(config, db);
+    StrategyRunner runner(&ctx, strategy);
+    *plan = runner.PreparePlan(raw);
+    *stats = std::make_shared<QueryStats>();
+    EXPECT_TRUE(runner.RunQuery(*plan, *stats).ok());
+    return ctx.simulator().clock().total_charged_micros();
+  };
+  PlanNodePtr plan;
+  QueryStatsPtr stats;
+  const int64_t unfused = charge(false, &plan, &stats);
+  const int64_t fused = charge(true, &plan, &stats);
+  ASSERT_GT(CountFusedNodes(plan), 0u);
+  EXPECT_LE(static_cast<double>(fused), 1.01 * static_cast<double>(unfused))
+      << "fused " << fused << " us, unfused " << unfused << " us";
+
+  Simulator estimator(config);
+  VisitPlanPostOrder(plan, [&](const PlanNodePtr& node) {
+    if (node->op() == PlanOp::kScan) return;
+    NodeStats* node_stats = stats->Find(node.get());
+    ASSERT_NE(node_stats, nullptr);
+    ASSERT_EQ(node_stats->ran_on.load(),
+              processor == ProcessorKind::kGpu ? 1 : 0);
+    double micros = 0;
+    if (node->op() == PlanOp::kFusedPipeline) {
+      micros = StageRuleMicros(static_cast<const FusedPipelineNode&>(*node),
+                               estimator, processor);
+    } else {
+      std::vector<TablePtr> inputs;
+      for (const PlanNodePtr& child : node->children()) {
+        inputs.push_back(EvaluateOnHost(child));
+      }
+      micros = estimator.EstimateComputeMicros(processor, node->op_class(),
+                                               node->InputBytes(inputs));
+    }
+    EXPECT_EQ(processor == ProcessorKind::kGpu
+                  ? node_stats->gpu_kernel_micros.load()
+                  : node_stats->cpu_kernel_micros.load(),
+              static_cast<int64_t>(micros / slots))
+        << node->label();
+  });
+}
+
 TEST(FusedChargeTest, FusedSsbQueriesAreChargedNoMoreThanUnfused) {
   SsbGeneratorOptions options;
   options.scale_factor = 0.2;
   static DatabasePtr ssb = GenerateSsbDatabase(options);
-  const SystemConfig config = SlowRateConfig();
   for (Strategy strategy : {Strategy::kCpuOnly, Strategy::kGpuOnly}) {
-    const ProcessorKind processor = strategy == Strategy::kCpuOnly
-                                        ? ProcessorKind::kCpu
-                                        : ProcessorKind::kGpu;
-    // A query alone on the host runs each CPU kernel on every slot.
-    const int slots =
-        processor == ProcessorKind::kCpu ? config.cpu_workers : 1;
     for (const NamedQuery& query : SsbQueries()) {
       SCOPED_TRACE(query.name + " " + StrategyToString(strategy));
       Result<PlanNodePtr> raw = query.builder(*ssb);
       ASSERT_TRUE(raw.ok());
-      auto charge = [&](bool fusion, PlanNodePtr* plan,
-                        QueryStatsPtr* stats) -> int64_t {
-        FusionScope scope(fusion);
-        EngineContext ctx(config, ssb);
-        StrategyRunner runner(&ctx, strategy);
-        *plan = runner.PreparePlan(raw.value());
-        *stats = std::make_shared<QueryStats>();
-        EXPECT_TRUE(runner.RunQuery(*plan, *stats).ok());
-        return ctx.simulator().clock().total_charged_micros();
-      };
-      PlanNodePtr plan;
-      QueryStatsPtr stats;
-      const int64_t unfused = charge(false, &plan, &stats);
-      const int64_t fused = charge(true, &plan, &stats);
-      ASSERT_GT(CountFusedNodes(plan), 0u);
-      EXPECT_LE(static_cast<double>(fused), 1.01 * static_cast<double>(unfused))
-          << "fused " << fused << " us, unfused " << unfused << " us";
-
-      // Every kernel without a filter pass is charged its input bytes at its
-      // class rate, divided by the slots it ran on.
-      Simulator estimator(config);
-      VisitPlanPostOrder(plan, [&](const PlanNodePtr& node) {
-        NodeStats* node_stats = stats->Find(node.get());
-        ASSERT_NE(node_stats, nullptr);
-        if (node->op() == PlanOp::kScan ||
-            node_stats->filter_survivors.load() >= 0) {
-          return;
-        }
-        ASSERT_EQ(node_stats->ran_on.load(),
-                  processor == ProcessorKind::kGpu ? 1 : 0);
-        std::vector<TablePtr> inputs;
-        for (const PlanNodePtr& child : node->children()) {
-          inputs.push_back(EvaluateOnHost(child));
-        }
-        const auto expected = static_cast<int64_t>(
-            estimator.EstimateComputeMicros(processor, node->op_class(),
-                                            node->InputBytes(inputs)) /
-            slots);
-        EXPECT_EQ(processor == ProcessorKind::kGpu
-                      ? node_stats->gpu_kernel_micros.load()
-                      : node_stats->cpu_kernel_micros.load(),
-                  expected)
-            << node->label();
-      });
+      ExpectFusedChargeRules(ssb, raw.value(), strategy);
     }
+  }
+}
+
+// A filtered pipeline with no join and no aggregate: its survivors are
+// charged at the project rate, as the unfused project pays, not at the scan
+// rate a pipeline-wide class would give them.
+TEST(FusedChargeTest, SelectThenProjectIsChargedNoMoreThanUnfused) {
+  DatabasePtr db = MakeTinyDb();
+  PlanNodePtr plan = std::make_shared<ProjectNode>(
+      std::make_shared<SelectNode>(
+          std::make_shared<ScanNode>(db->GetTable("fact").value(),
+                                     std::vector<std::string>{"fk", "v"}),
+          ConjunctiveFilter::And({Predicate::Lt("v", int64_t{60})})),
+      std::vector<std::string>{"fk"},
+      std::vector<ArithmeticExpr>{ArithmeticExpr::ColumnOp(
+          "vw", ArithmeticExpr::Op::kMul, "v", "fk")});
+  for (Strategy strategy : {Strategy::kCpuOnly, Strategy::kGpuOnly}) {
+    SCOPED_TRACE(StrategyToString(strategy));
+    ExpectFusedChargeRules(db, plan, strategy);
   }
 }
 

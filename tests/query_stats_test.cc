@@ -243,14 +243,19 @@ TEST(ExplainTest, AnalyzeShowsPerOperatorResourceAttribution) {
   // some but not all of the lineorder rows it read.
   int64_t survivors = -1;
   int64_t rows_in = -1;
+  std::vector<int64_t> probes;
   for (const auto& node : stats->nodes()) {
     if (node->op != "fused_pipeline") continue;
     survivors = node->filter_survivors.load();
     rows_in = node->rows_in.load();
+    probes = node->probes();
   }
   EXPECT_GT(survivors, 0);
   EXPECT_LT(survivors, rows_in);
-  EXPECT_NE(text.find(" survivors=" + std::to_string(survivors)),
+  // Q1.1 probes one join level (date) with exactly the filter survivors.
+  ASSERT_EQ(probes, std::vector<int64_t>{survivors});
+  EXPECT_NE(text.find(" survivors=" + std::to_string(survivors) +
+                      " probes=" + std::to_string(survivors)),
             std::string::npos)
       << text;
   EXPECT_NE(text.find("[GPU"), std::string::npos) << text;
@@ -269,6 +274,9 @@ TEST(ExplainTest, AnalyzeShowsPerOperatorResourceAttribution) {
   EXPECT_NE(json.find("\"survivors\":" + std::to_string(survivors)),
             std::string::npos);
   EXPECT_NE(json.find("\"survivors\":-1"), std::string::npos);
+  EXPECT_NE(json.find("\"probes\":[" + std::to_string(survivors) + "]"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"probes\":[]"), std::string::npos);
 }
 
 TEST(ExplainTest, FailedQueryRendersErrorAndStatus) {

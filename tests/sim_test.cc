@@ -254,10 +254,10 @@ SystemConfig WorkConfig() {
   return config;
 }
 
-// 40,000 filter bytes at the scan rate, then 1,000 bytes at the join rate:
-// 400 + 20 single-core micros on the CPU, 40 + 2 on the device.
+// Two stages, 40,000 bytes at the scan rate then 1,000 bytes at the join
+// rate: 400 + 20 single-core micros on the CPU, 40 + 2 on the device.
 Result<KernelWork> FilterThenJoin() {
-  return KernelWork{OpClass::kJoin, 1'000, 40'000};
+  return KernelWork{{{OpClass::kScan, 40'000}, {OpClass::kJoin, 1'000}}};
 }
 
 TEST(RunKernelWorkTest, ChargesTheWorkReportedAfterCompute) {
@@ -269,7 +269,8 @@ TEST(RunKernelWorkTest, ChargesTheWorkReportedAfterCompute) {
         // that passes its filter.
         size_t passed = 0;
         for (int value : values) passed += value > 40 ? 1 : 0;
-        return KernelWork{OpClass::kJoin, 1'000 * passed, 40'000};
+        return KernelWork{
+            {{OpClass::kScan, 40'000}, {OpClass::kJoin, 1'000 * passed}}};
       });
   ASSERT_TRUE(window.ok());
   EXPECT_DOUBLE_EQ(window->modeled_micros, 40 + 3 * 2);
@@ -322,7 +323,8 @@ TEST(RunKernelWorkTest, FailedComputeChargesNothingAndReleases) {
   }
   for (ProcessorKind processor : {ProcessorKind::kGpu, ProcessorKind::kCpu}) {
     EXPECT_TRUE(sim.RunKernel(processor, 0, [] {
-                     return Result<KernelWork>(KernelWork{OpClass::kJoin, 1'000});
+                     return Result<KernelWork>(
+                         KernelWork{{{OpClass::kJoin, 1'000}}});
                    }).ok());
   }
   // 1,000 bytes at the join rate on each processor: 2 + 20 micros.
@@ -353,7 +355,7 @@ TEST(RunKernelWorkTest, HostClockComputeRunsOutsideTheLockAndSlots) {
                       [&] { return inside >= 2; })) {
         ++overlapped;
       }
-      return KernelWork{OpClass::kJoin, 1'000};
+      return KernelWork{{{OpClass::kJoin, 1'000}}};
     };
     std::vector<std::thread> threads;
     for (int t = 0; t < 2; ++t) {
